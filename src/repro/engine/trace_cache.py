@@ -72,7 +72,17 @@ DISABLED_VALUES = frozenset({"off", "0", "none", "disabled"})
 _DISABLED_VALUES = DISABLED_VALUES
 
 
-def atomic_write(root: str, path: str, write) -> None:
+def fsync_dir(path: str) -> None:
+    """Make the entries of directory ``path`` durable (creates,
+    renames, unlinks)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def atomic_write(root: str, path: str, write, durable: bool = False) -> None:
     """Write a store entry atomically (tmp file + rename).
 
     ``write`` receives a binary file handle.  Creates ``root`` on
@@ -80,6 +90,8 @@ def atomic_write(root: str, path: str, write) -> None:
     entry (if any) is left untouched.  Both content-addressed stores —
     the trace cache here and the service artifact store — share this
     discipline so concurrent workers can write one directory safely.
+    ``durable`` also fsyncs the file before the rename and ``root``
+    after it, so the entry survives power loss once this returns.
     """
     os.makedirs(root, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
@@ -88,7 +100,12 @@ def atomic_write(root: str, path: str, write) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             write(handle)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
+        if durable:
+            fsync_dir(root)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -478,6 +495,7 @@ __all__ = [
     "behavior_fingerprint",
     "compiled_enabled",
     "default_cache",
+    "fsync_dir",
     "image_for",
     "reset_default_cache",
     "trace_key",

@@ -285,6 +285,7 @@ def stage_table(spans: Sequence[Span], metrics: Optional[dict] = None) -> str:
         ("farm shard failures", "farm.shard_failures"),
         ("farm shards degraded", "farm.shards_quarantined"),
         ("farm pool respawns", "farm.pool_respawns"),
+        ("torn WAL records", "service.agg.wal.torn"),
     ):
         total = _counter_total(metrics, name)
         if total:

@@ -19,14 +19,18 @@ cleanly:
 * :class:`Tenant` / :class:`TenantRegistry` — per-benchmark aggregator
   state plus the lazy creation, restore, and routing rules;
 * :class:`ProfileDaemon` — the asyncio server plus registry/store
-  lifecycle: restore-or-cold-start every known tenant on boot,
-  checkpoint after every mutating request, periodic artifact-store GC
+  lifecycle: restore every known tenant on boot (its checkpoint, then
+  the records of its write-ahead log past it), make every upload's
+  lines durable in the touched tenants' WALs before answering (one
+  fsync per tenant; a full checkpoint only once the log outgrows the
+  last one — :mod:`repro.service.wal`), periodic artifact-store GC
   sweeps under ``gc_max_bytes`` (every tenant's checkpoint slot and
   the tenant directory are pinned, so eviction can never eat daemon
   state), and graceful shutdown — SIGTERM stops the listener, drains
   in-flight requests, and writes a final checkpoint per tenant, so a
   restarted daemon resumes every tenant with no double-counting
-  (replayed uploads dedup by content digest);
+  (replayed uploads dedup by content digest), as does one restarted
+  after ``kill -9``;
 * :func:`start_daemon_thread` — the test/example harness: the same
   daemon on an ephemeral port in a background thread, with a handle
   that stops it synchronously.
@@ -70,6 +74,7 @@ from repro.service import (
     default_store,
 )
 from repro.service.aggregate import quarantine_profile
+from repro.service.wal import WriteAheadLog, wal_dir
 
 from .http import BadRequest, Response, read_request, write_response
 
@@ -158,6 +163,17 @@ class Tenant:
     restored: bool = False
     #: Report dict of this tenant's most recent successful ``/repack``.
     last_report: Optional[Dict] = None
+    #: The tenant's write-ahead log (``None`` with the store off).
+    wal: Optional[WriteAheadLog] = None
+    #: WAL position of the newest line applied (taken under :attr:`lock`).
+    position: int = 0
+    #: WAL position the last checkpoint covers.
+    checkpointed: int = 0
+    #: Size in bytes of the last checkpoint.
+    checkpoint_bytes: int = 0
+    #: One checkpoint at a time: a slower, older checkpoint landing
+    #: after a newer one must never retire WAL segments it lacks.
+    _checkpointing: threading.Lock = field(default_factory=threading.Lock)
 
     def snapshot(self):
         """Materialize the merged fleet under :attr:`lock`.
@@ -168,17 +184,89 @@ class Tenant:
         with self.lock:
             return self.aggregator.snapshot()
 
-    def checkpoint(self, store: ArtifactStore) -> bool:
-        """Persist the aggregator; never fatal.
+    def ingest(
+        self,
+        text: str,
+        parsed: Optional[Dict] = None,
+        route_error: Optional["RouteError"] = None,
+        name: Optional[str] = None,
+        position: Optional[int] = None,
+    ) -> Tuple[str, Optional[Dict], int]:
+        """Fold or quarantine one routed line; ``(disposition, reject,
+        position)``.
 
-        State is serialized under :attr:`lock` so a concurrent ingest
-        cannot tear it; the disk write happens unlocked.
+        The line takes its WAL position under :attr:`lock` — the next
+        one, or ``position`` when a replay restores a logged line.
         """
+        agg = self.aggregator
         with self.lock:
-            if not self.aggregator.documents:
+            self.position = (self.position + 1 if position is None
+                             else max(self.position, position))
+            if route_error is not None:
+                label = name or "<upload:{}>".format(
+                    hashlib.blake2b(text.encode(), digest_size=16)
+                    .hexdigest()[:12]
+                )
+                reject = quarantine_profile(label, route_error)
+                agg.rejected.append(reject)
+            else:
+                before_rejects = len(agg.rejected)
+                before_dupes = agg.duplicates
+                if agg.ingest_text(text, name=name, parsed=parsed):
+                    return "folded", None, self.position
+                if agg.duplicates > before_dupes:
+                    return "duplicate", None, self.position
+                reject = agg.rejected[-1] \
+                    if len(agg.rejected) > before_rejects else None
+                if reject is None:  # pragma: no cover - ingest invariant
+                    return "duplicate", None, self.position
+            return "rejected", {
+                "error": reject.error,
+                "stage": reject.stage,
+                "exception_type": reject.exception_type,
+            }, self.position
+
+    @property
+    def dirty(self) -> bool:
+        """Lines were applied since the last checkpoint."""
+        return self.position > self.checkpointed
+
+    def checkpoint(self, store: ArtifactStore) -> bool:
+        """Durably persist the aggregator, then retire the WAL it
+        covers; never fatal.
+
+        State is serialized, and the WAL rotated, under :attr:`lock`,
+        so the checkpoint covers exactly the lines applied before it;
+        the disk write happens unlocked.  Older WAL segments are
+        deleted only once the checkpoint is durable.
+        """
+        with self._checkpointing:
+            with self.lock:
+                agg = self.aggregator
+                if not (agg.documents or agg.rejected):
+                    return False
+                state = agg.to_state()
+                position = self.position
+                boundary = self.wal.rotate() if self.wal is not None \
+                    else None
+            size = agg.save_checkpoint(
+                store, self.tag, state=state, wal_position=position
+            )
+            if not size:
                 return False
-            state = self.aggregator.to_state()
-        return self.aggregator.save_checkpoint(store, self.tag, state=state)
+            self.checkpointed = position
+            self.checkpoint_bytes = size
+            if boundary is not None:
+                self.wal.drop_before(boundary)
+            return True
+
+    def wal_status(self) -> Dict:
+        """WAL bytes and positions for health and the dashboard."""
+        return {
+            "bytes": self.wal.bytes if self.wal is not None else 0,
+            "position": self.position,
+            "checkpoint_position": self.checkpointed,
+        }
 
     def counters(self) -> Dict:
         """Thread-safe ingest counters for health/metrics/dashboard."""
@@ -249,12 +337,13 @@ class TenantRegistry:
             if isinstance(names, list) else []
 
     def _save_directory(self) -> None:
+        # Durable: a tenant's WAL is only found on boot through it.
         self.store.put(self.directory_slot, {
             "kind": "tenant-directory",
             "version": TENANT_DIRECTORY_VERSION,
             "tag": self.config.tag,
             "tenants": sorted(self._tenants),
-        })
+        }, durable=True)
 
     def get(self, name: str) -> Tenant:
         """The named tenant, created (and checkpoint-restored) lazily.
@@ -276,20 +365,96 @@ class TenantRegistry:
             # before the first checkpoint can exist so there is no
             # window in which a sweep could take the slot.
             self.store.pin(slot)
-            restored = IncrementalAggregator.restore(
+            found = IncrementalAggregator.load_checkpoint(
                 self.store, tag, self.policy
             )
             tenant = Tenant(
                 name=name,
                 tag=tag,
                 slot=slot,
-                aggregator=restored or IncrementalAggregator(self.policy),
-                restored=restored is not None,
+                aggregator=(found.aggregator if found is not None
+                            else IncrementalAggregator(self.policy)),
+                restored=found is not None,
+                wal=(WriteAheadLog(wal_dir(self.store.root, slot))
+                     if self.store.enabled else None),
             )
+            if found is not None:
+                tenant.position = tenant.checkpointed = found.position
+                tenant.checkpoint_bytes = found.size
+            self._replay(tenant)
             self._tenants[name] = tenant
             inc("server.tenants.created")
             self._save_directory()
             return tenant
+
+    def _replay(self, tenant: Tenant) -> None:
+        """Re-apply the tenant's WAL records past its checkpoint,
+        through the same routing and ingest code as an upload."""
+        if tenant.wal is None:
+            return
+        records = tenant.wal.replay(after=tenant.checkpointed)
+        for position, text in records:
+            self.route(text, pinned=tenant, position=position)
+        if records:
+            tenant.restored = True
+            logger.info("server: tenant %s replayed %d WAL record(s)",
+                        tenant.name, len(records))
+
+    def route(
+        self,
+        text: str,
+        pinned: Optional[Tenant] = None,
+        name: Optional[str] = None,
+        position: Optional[int] = None,
+    ) -> Tuple[str, Tenant, Optional[Dict], int]:
+        """Route one profile document to its tenant and fold it.
+
+        The routing rule: ``pinned`` (a scoped upload's URL tenant)
+        wins, and a conflicting ``meta.benchmark`` stamp is
+        quarantined into ``pinned`` with stage ``route``; without a
+        pin, the stamp picks (and lazily creates) the tenant and
+        unstamped documents fold into the default tenant.  Replaying
+        a tenant's WAL pins every record to that tenant, which routes
+        each exactly as its upload did.
+
+        Returns ``(disposition, tenant, reject, position)`` where
+        disposition is ``folded`` | ``duplicate`` | ``rejected``,
+        ``reject`` (for rejections only) carries the quarantine
+        fields, and ``position`` is the line's WAL position.
+        """
+        parsed: Optional[Dict] = None
+        stamp = None
+        try:
+            loaded = json.loads(text)
+        except ValueError:
+            loaded = None
+        if isinstance(loaded, dict):
+            parsed = loaded
+            meta = loaded.get("meta")
+            if isinstance(meta, dict):
+                stamp = meta.get("benchmark")
+
+        route_error: Optional[RouteError] = None
+        tenant = pinned
+        if stamp is not None:
+            if not isinstance(stamp, str) or check_tenant_name(stamp):
+                route_error = RouteError(
+                    f"unroutable meta.benchmark stamp {stamp!r}"
+                )
+            elif pinned is not None and stamp != pinned.name:
+                route_error = RouteError(
+                    f"document stamped for tenant {stamp!r} uploaded "
+                    f"to tenant {pinned.name!r}"
+                )
+            elif pinned is None:
+                tenant = self.get(stamp)
+        if tenant is None:
+            tenant = self.default
+        disposition, reject, position = tenant.ingest(
+            text, parsed=parsed, route_error=route_error, name=name,
+            position=position,
+        )
+        return disposition, tenant, reject, position
 
     def peek(self, name: str) -> Optional[Tenant]:
         """The named tenant if it exists; reads never create tenants."""
@@ -409,12 +574,46 @@ class ProfileDaemon:
             self.checkpoints += 1
         return saved
 
-    def checkpoint(self) -> bool:
-        """Persist every tenant; counted, never fatal."""
+    def checkpoint(self, dirty_only: bool = False) -> bool:
+        """Persist every tenant (or only those with lines applied
+        since their last checkpoint); counted, never fatal."""
         saved = False
         for tenant in self.registry.tenants():
-            saved = self.checkpoint_tenant(tenant) or saved
+            if tenant.dirty or not dirty_only:
+                saved = self.checkpoint_tenant(tenant) or saved
         return saved
+
+    def make_durable(
+        self, batches: Dict[str, Tuple[Tenant, List[Tuple[int, str]]]]
+    ) -> bool:
+        """Append each tenant's ``(position, line)`` records to its WAL
+        — one write and one fsync per tenant — then checkpoint the
+        tenants whose log has outgrown their last checkpoint.
+
+        False when some tenant's lines could not be made durable: its
+        append failed and so did a fallback full checkpoint.  With the
+        store off nothing is durable, and nothing is promised.
+        """
+        if not self.store.enabled:
+            return True
+        durable = True
+        for tenant, records in batches.values():
+            try:
+                tenant.wal.append(records)
+            except OSError as exc:
+                logger.warning(
+                    "server: WAL append for tenant %s failed (%s); "
+                    "writing a full checkpoint instead", tenant.name, exc,
+                )
+                if not self.checkpoint_tenant(tenant):
+                    durable = False
+                continue
+            # Checkpoint once the log outgrows the last checkpoint:
+            # serialization stays amortized O(1) per logged byte and
+            # replay stays bounded by one checkpoint's worth.
+            if tenant.wal.bytes > tenant.checkpoint_bytes:
+                self.checkpoint_tenant(tenant)
+        return durable
 
     def sweep_store(self) -> int:
         """One GC pass under the configured byte cap; evicted count.
@@ -441,79 +640,10 @@ class ProfileDaemon:
         text: str,
         pinned: Optional[Tenant] = None,
         name: Optional[str] = None,
-    ) -> Tuple[str, Tenant, Optional[Dict]]:
-        """Route one profile document to its tenant and fold it.
-
-        The routing rule: ``pinned`` (a scoped upload's URL tenant)
-        wins, and a conflicting ``meta.benchmark`` stamp is
-        quarantined into ``pinned`` with stage ``route``; without a
-        pin, the stamp picks (and lazily creates) the tenant and
-        unstamped documents fold into the default tenant.
-
-        Returns ``(disposition, tenant, reject)`` where disposition is
-        ``folded`` | ``duplicate`` | ``rejected`` and ``reject`` (for
-        rejections only) carries the quarantine fields.
-        """
-        parsed: Optional[Dict] = None
-        stamp = None
-        try:
-            loaded = json.loads(text)
-        except ValueError:
-            loaded = None
-        if isinstance(loaded, dict):
-            parsed = loaded
-            meta = loaded.get("meta")
-            if isinstance(meta, dict):
-                stamp = meta.get("benchmark")
-
-        route_error: Optional[RouteError] = None
-        tenant = pinned
-        if stamp is not None:
-            if not isinstance(stamp, str) or check_tenant_name(stamp):
-                route_error = RouteError(
-                    f"unroutable meta.benchmark stamp {stamp!r}"
-                )
-            elif pinned is not None and stamp != pinned.name:
-                route_error = RouteError(
-                    f"document stamped for tenant {stamp!r} uploaded "
-                    f"to tenant {pinned.name!r}"
-                )
-            elif pinned is None:
-                tenant = self.registry.get(stamp)
-        if tenant is None:
-            tenant = self.registry.default
-
-        if route_error is not None:
-            label = name or "<upload:{}>".format(
-                hashlib.blake2b(text.encode(), digest_size=16)
-                .hexdigest()[:12]
-            )
-            reject = quarantine_profile(label, route_error)
-            with tenant.lock:
-                tenant.aggregator.rejected.append(reject)
-            return "rejected", tenant, {
-                "error": reject.error,
-                "stage": reject.stage,
-                "exception_type": reject.exception_type,
-            }
-
-        agg = tenant.aggregator
-        with tenant.lock:
-            before_rejects = len(agg.rejected)
-            before_dupes = agg.duplicates
-            if agg.ingest_text(text, name=name, parsed=parsed):
-                return "folded", tenant, None
-            if agg.duplicates > before_dupes:
-                return "duplicate", tenant, None
-            reject = agg.rejected[-1] if len(agg.rejected) > before_rejects \
-                else None
-        if reject is None:  # pragma: no cover - ingest_text invariant
-            return "duplicate", tenant, None
-        return "rejected", tenant, {
-            "error": reject.error,
-            "stage": reject.stage,
-            "exception_type": reject.exception_type,
-        }
+    ) -> Tuple[str, Tenant, Optional[Dict], int]:
+        """Route one profile document to its tenant and fold it
+        (:meth:`TenantRegistry.route`)."""
+        return self.registry.route(text, pinned=pinned, name=name)
 
     # -- asyncio lifecycle -------------------------------------------
 
@@ -581,9 +711,9 @@ class ProfileDaemon:
     async def _gc_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.gc_interval)
-            # Checkpoint first so the slots the sweep must keep hold
-            # the *current* state, then shrink under the cap.
-            await asyncio.to_thread(self.checkpoint)
+            # Checkpoint tenants with WAL records past their
+            # checkpoint (bounding replay), then shrink under the cap.
+            await asyncio.to_thread(self.checkpoint, dirty_only=True)
             await asyncio.to_thread(self.sweep_store)
 
     async def serve(self) -> None:

@@ -13,7 +13,8 @@ each linking to that tenant's page at ``/tenants/<name>/``.
 single-tenant dashboard scoped to one aggregator:
 
 * tenant summary (benchmark spec, ingest counters, checkpoint
-  disposition);
+  disposition, write-ahead-log bytes and the WAL position the last
+  checkpoint covers);
 * the merged-phase provenance table from the current snapshot
   (branches, contributing runs, detections, agreement, epoch bounds,
   staleness) — the fleet analog of the paper's per-phase tables;
@@ -142,6 +143,7 @@ def render_tenant(daemon: "ProfileDaemon", tenant: "Tenant") -> str:
     store = daemon.store
     stats = daemon.server_stats()
     counters = tenant.counters()
+    wal = tenant.wal_status()
     out = [
         f"<h1>repro server — tenant {_esc(tenant.name)}</h1>",
         '<p><a href="/">&larr; tenant index</a></p>',
@@ -157,6 +159,9 @@ def render_tenant(daemon: "ProfileDaemon", tenant: "Tenant") -> str:
             ["quarantined", counters["quarantined"]],
             ["checkpoint", counters["checkpoint"]],
             ["checkpoints written", stats["checkpoints"]],
+            ["WAL bytes", f"{wal['bytes']:,}"],
+            ["WAL position", wal["position"]],
+            ["checkpoint position", wal["checkpoint_position"]],
             ["gc sweeps", stats["gc_sweeps"]],
             ["store root", store.root if store.enabled else "off"],
             ["store bytes", f"{store.total_bytes():,}"

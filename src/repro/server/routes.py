@@ -14,7 +14,10 @@ the root as a PR-9 compatibility alias for the **default tenant**
 ``POST /profiles``             the flat alias **demultiplexes**: each
                                line routes by its ``meta.benchmark``
                                stamp, unstamped lines fold into the
-                               default tenant.
+                               default tenant.  Both upload routes
+                               answer only once every line is in its
+                               tenant's fsync'd write-ahead log; 503
+                               when it cannot be made durable.
 ``GET /tenants/<t>/snapshot``  tenant's merged fleet profile + digest.
 ``POST /tenants/<t>/repack``   sharded farm pack of that tenant's
                                snapshot; full fleet report + artifact
@@ -37,21 +40,21 @@ unambiguous because a tenant name may never end in a reserved segment.
 
 Every handler returns a :class:`~repro.server.http.Response`; protocol
 errors raise :class:`~repro.server.http.BadRequest`.  Handlers run on
-the event loop but push blocking work (packing, checkpoint writes)
-through ``asyncio.to_thread``, so ingest keeps streaming while a
-repack runs.  Because of that split, every aggregator touch — folding
-a document on the loop, serializing or snapshotting in a worker
-thread — happens under that tenant's lock; the aggregator itself has
-no locking.
+the event loop but push blocking work (packing, WAL appends,
+checkpoint writes) through ``asyncio.to_thread``, so ingest keeps
+streaming while a repack runs.  Because of that split, every
+aggregator touch — folding a document on the loop, serializing or
+snapshotting in a worker thread — happens under that tenant's lock;
+the aggregator itself has no locking.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.obs import default_registry
+from repro.obs import default_registry, inc
 from repro.service import FarmConfig, build_report, canonical_json, pack_fleet
 
 from .http import BadRequest, Request, Response
@@ -82,7 +85,8 @@ async def _profiles(
     received = folded = duplicates = 0
     rejected: List[Dict] = []
     truncated = None
-    touched: Dict[str, "Tenant"] = {}
+    #: tenant name -> (tenant, its (WAL position, line) records)
+    logged: Dict[str, Tuple["Tenant", List[Tuple[int, str]]]] = {}
     folded_by: Dict[str, int] = {}
 
     def ingest_line(line: bytes) -> None:
@@ -91,10 +95,16 @@ async def _profiles(
         if not text:
             return
         received += 1
-        disposition, routed, reject = daemon.route_text(text, pinned=tenant)
+        disposition, routed, reject, position = daemon.route_text(
+            text, pinned=tenant
+        )
+        # Folded, deduplicated and quarantined lines all changed the
+        # tenant's state, so all of them are logged.
+        logged.setdefault(routed.name, (routed, []))[1].append(
+            (position, text)
+        )
         if disposition == "folded":
             folded += 1
-            touched[routed.name] = routed
             folded_by[routed.name] = folded_by.get(routed.name, 0) + 1
         elif disposition == "duplicate":
             duplicates += 1
@@ -120,11 +130,18 @@ async def _profiles(
     if buffer and truncated is None:
         ingest_line(buffer)
 
-    if touched:
-        def checkpoint_touched() -> None:
-            for routed in touched.values():
-                daemon.checkpoint_tenant(routed)
-        await asyncio.to_thread(checkpoint_touched)
+    # Append, then answer: the response leaves only once every line
+    # above is in its tenant's fsync'd WAL (or a durable checkpoint).
+    if logged and not await asyncio.to_thread(daemon.make_durable, logged):
+        inc("server.ingest.not_durable")
+        return Response.error(
+            503,
+            f"{received} line(s) were applied but could not be made "
+            "durable: the artifact store rejected both the write-ahead "
+            "log append and a full checkpoint",
+            hint="retry the upload once the store's disk accepts "
+                 "writes; replayed lines deduplicate",
+        )
     documents = (tenant.counters()["documents"] if tenant is not None
                  else daemon.totals()["documents"])
     body = {
@@ -220,7 +237,6 @@ async def _repack(
         except ServiceError as exc:
             return Response.error(409, str(exc), hint=exc.hint)
         tenant.last_report = body["report"]
-        await asyncio.to_thread(daemon.checkpoint_tenant, tenant)
     return Response.json(body)
 
 
@@ -254,6 +270,7 @@ async def _healthz(daemon: "ProfileDaemon", request: Request) -> Response:
         "quarantined": totals["quarantined"],
         "checkpoint": "restored" if daemon.restored else "cold",
         "tenants": _tenant_counters(daemon),
+        "wal": {t.name: t.wal_status() for t in daemon.registry.tenants()},
         "store": {
             "root": store.root if store.enabled else "off",
             "hits": store.stats.hits,

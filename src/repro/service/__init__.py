@@ -19,6 +19,10 @@ re-aggregate → re-pack cycle (``repro drift``), and
 crashes, shard hangs, corrupt artifacts, truncated uploads, clock skew
 — that the fault-tolerant farm (:class:`~repro.service.farm.FarmPolicy`)
 must survive (``repro chaos``).
+
+The long-running daemon (:mod:`repro.server`) keeps one
+:mod:`~repro.service.wal` write-ahead log per tenant, so an
+acknowledged upload survives a crash between checkpoints.
 """
 
 from .aggregate import (

@@ -36,9 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ServiceError
 from repro.obs import inc
@@ -1206,40 +1209,55 @@ class IncrementalAggregator:
         ).hexdigest()
 
     def save_checkpoint(
-        self, store, tag: str, state: Optional[Dict] = None
-    ) -> bool:
-        """Persist the live state through the artifact store.
+        self, store, tag: str, state: Optional[Dict] = None,
+        wal_position: int = 0,
+    ) -> int:
+        """Durably persist the live state through the artifact store.
 
         ``state`` (a :meth:`to_state` document) lets a concurrent
         caller serialize under its own lock and keep only the disk
         write outside it — the aggregator itself has no locking.
+        ``wal_position`` records the write-ahead-log position the
+        state covers (:mod:`repro.service.wal`).  Returns the
+        checkpoint's size in bytes, 0 when it was not written.
         """
         if state is None:
             state = self.to_state()
-        saved = store.put(checkpoint_key(tag, self.policy), {
+        size = store.put(checkpoint_key(tag, self.policy), {
             "kind": "aggregator-checkpoint",
             "agg_version": AGGREGATOR_STATE_VERSION,
             "state_digest": self.state_digest(state),
             "state": state,
-        })
-        if saved:
+            "wal_position": wal_position,
+        }, durable=True)
+        if size:
             inc("service.agg.checkpoint.saved")
-        return saved
+        return size
 
     @classmethod
     def restore(
         cls, store, tag: str, policy: Optional[MergePolicy] = None
     ) -> Optional["IncrementalAggregator"]:
-        """Resume from a checkpoint; ``None`` means cold start.
+        """Resume from a checkpoint; ``None`` means cold start."""
+        found = cls.load_checkpoint(store, tag, policy)
+        return found.aggregator if found is not None else None
+
+    @classmethod
+    def load_checkpoint(
+        cls, store, tag: str, policy: Optional[MergePolicy] = None
+    ) -> Optional["Checkpoint"]:
+        """The stored checkpoint of ``tag``; ``None`` means cold start.
 
         Every corruption path is a *miss*, never an error: a truncated
         entry fails the store's own stamp check, a stale
         ``agg_version`` or policy fingerprint is refused here, and a
         payload whose ``state_digest`` disagrees with its state is
-        never trusted.
+        never trusted.  A checkpoint written before write-ahead logs
+        existed covers position 0.
         """
         policy = policy or MergePolicy()
-        payload = store.get(checkpoint_key(tag, policy))
+        key = checkpoint_key(tag, policy)
+        payload = store.get(key)
         if payload is None:
             inc("service.agg.checkpoint.miss")
             return None
@@ -1257,6 +1275,7 @@ class IncrementalAggregator:
             if expected != actual:
                 raise ValueError("checkpoint state digest mismatch")
             aggregator = cls.from_state(state, policy)
+            position = int(payload.get("wal_position", 0))
         except (KeyError, TypeError, ValueError) as exc:
             inc("service.agg.checkpoint.corrupt")
             logger.warning(
@@ -1265,7 +1284,21 @@ class IncrementalAggregator:
             )
             return None
         inc("service.agg.checkpoint.hit")
-        return aggregator
+        try:
+            size = os.path.getsize(store.path_of(key))
+        except OSError:
+            size = 0
+        return Checkpoint(aggregator, position, size)
+
+
+class Checkpoint(NamedTuple):
+    """A restored checkpoint: its state and what it covers."""
+
+    aggregator: IncrementalAggregator
+    #: Write-ahead-log position the state covers.
+    position: int
+    #: Entry size on disk.
+    size: int
 
 
 def checkpoint_key(tag: str, policy: MergePolicy) -> str:
@@ -1297,6 +1330,7 @@ __all__ = [
     "AGGREGATOR_MODES",
     "AGGREGATOR_STATE_VERSION",
     "CONTRACT",
+    "Checkpoint",
     "ClientRun",
     "ContractTolerance",
     "FleetProfile",

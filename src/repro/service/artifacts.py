@@ -240,14 +240,16 @@ class ArtifactStore:
         self._stamp_hit(key)
         return payload
 
-    def put(self, key: str, payload: Dict) -> bool:
-        """Persist a payload; returns False when the store is off or
-        the write failed (the farm then just keeps its in-memory
-        result).  Raises ``ValueError`` on a key that collides with
-        the hit-sidecar namespace."""
+    def put(self, key: str, payload: Dict, durable: bool = False) -> int:
+        """Persist a payload; returns the entry's size in bytes, or 0
+        when the store is off or the write failed (the farm then just
+        keeps its in-memory result).  ``durable`` fsyncs the entry and
+        the store directory before returning (checkpoint slots).
+        Raises ``ValueError`` on a key that collides with the
+        hit-sidecar namespace."""
         self._check_key(key)
         if not self.enabled:
-            return False
+            return 0
         document = canonical_json(
             {
                 "stamp": {"key": key, "version": FORMAT_VERSION},
@@ -259,14 +261,15 @@ class ArtifactStore:
                 self.root,
                 self.path_of(key),
                 lambda handle: handle.write(document),
+                durable=durable,
             )
         except OSError:
             self.stats.errors += 1
             inc("artifact_store.errors")
-            return False
+            return 0
         self.stats.puts += 1
         inc("artifact_store.puts")
-        return True
+        return len(document)
 
     # -- GC ----------------------------------------------------------
 

@@ -8,14 +8,20 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ServiceError
 from repro.hsd.records import BranchProfile, HotSpotRecord
 from repro.hsd.serialize import make_provenance, records_to_dict
+from repro.obs import default_registry
 from repro.obs.render import stage_table
 from repro.server import (
     DaemonClient,
@@ -24,6 +30,7 @@ from repro.server import (
     start_daemon_thread,
 )
 from repro.service import (
+    AGGREGATOR_STATE_VERSION,
     ArtifactStore,
     ClientRun,
     ContractTolerance,
@@ -38,6 +45,7 @@ from repro.service import (
     simulate_fleet,
 )
 from repro.hsd.serialize import document_from_json
+from repro.service.wal import WriteAheadLog, wal_dir
 
 BENCH, INPUT, SCALE = "181.mcf", "A", 0.2
 
@@ -97,6 +105,28 @@ def daemon_config(**overrides):
     )
     defaults.update(overrides)
     return ServerConfig(**defaults)
+
+
+def launch_server(store_dir):
+    """``repro server`` as a subprocess; ``(process, banner, port)``."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH", ""),
+        ) if p
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "server",
+            "--bench", f"{BENCH}/{INPUT}", "--listen", "127.0.0.1:0",
+            "--scale", str(SCALE), "--store", store_dir,
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    banner = proc.stdout.readline()
+    port = int(re.search(r":(\d+) ", banner).group(1))
+    return proc, banner, port
 
 
 class TestIngestEquivalence:
@@ -476,8 +506,6 @@ class TestStoreGC:
         assert store.evict(0) == []
 
     def test_gc_counters_surface_in_stage_table(self, tmp_path):
-        from repro.obs import default_registry
-
         store = ArtifactStore(str(tmp_path / "store"))
         self.put_n(store, 2)
         store.get("key-0")
@@ -532,27 +560,9 @@ class TestRestart:
         self, tmp_path
     ):
         store_dir = str(tmp_path / "store")
-        env = dict(os.environ, PYTHONUNBUFFERED="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                str(Path(__file__).resolve().parent.parent / "src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        command = [
-            sys.executable, "-m", "repro", "server",
-            "--bench", f"{BENCH}/{INPUT}", "--listen", "127.0.0.1:0",
-            "--scale", str(SCALE), "--store", store_dir,
-        ]
 
         def launch():
-            proc = subprocess.Popen(
-                command, stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT, text=True, env=env,
-            )
-            banner = proc.stdout.readline()
-            port = int(re.search(r":(\d+) ", banner).group(1))
-            return proc, banner, port
+            return launch_server(store_dir)
 
         proc, banner, port = launch()
         try:
@@ -567,6 +577,7 @@ class TestRestart:
         finally:
             if proc.poll() is None:
                 proc.kill()
+            proc.stdout.close()
 
         store = ArtifactStore(store_dir)
         slot = checkpoint_key("server", MergePolicy())
@@ -602,6 +613,7 @@ class TestRestart:
         finally:
             if proc.poll() is None:
                 proc.kill()
+            proc.stdout.close()
 
 
 class TestMultiTenant:
@@ -869,6 +881,331 @@ class TestMultiTenant:
         assert checkpoint_key("test:999.go/B", MergePolicy()) in keys
         assert tenant_directory_key("test") in keys
         assert not any(key.startswith("key-") for key in keys)
+
+
+DEFAULT = f"{BENCH}/{INPUT}"
+OTHER = "999.go/B"
+
+
+def http_states(client):
+    """``{tenant: (documents, duplicates, quarantined, digest)}`` of a
+    live daemon; the digest is ``None`` before a tenant's first fold."""
+    status, health = client.healthz()
+    assert status == 200
+    states = {}
+    for name, counters in health["tenants"].items():
+        status, snap = client.tenant(name).snapshot()
+        states[name] = (
+            counters["documents"], counters["duplicates"],
+            counters["quarantined"], snap["digest"] if status == 200 else None,
+        )
+    return states
+
+
+def reference_states(posts):
+    """What a daemon that never crashed holds after ``posts`` — the
+    same per-line routing an upload does, with no store at all."""
+    daemon = ProfileDaemon(daemon_config(), store=ArtifactStore("off"))
+    for scope, lines in posts:
+        pinned = daemon.registry.get(scope) if scope else None
+        for line in lines:
+            daemon.route_text(line, pinned=pinned)
+    states = {}
+    for tenant in daemon.registry.tenants():
+        counters = tenant.counters()
+        try:
+            digest = tenant.snapshot().digest()
+        except ServiceError:
+            digest = None
+        states[tenant.name] = (
+            counters["documents"], counters["duplicates"],
+            counters["quarantined"], digest,
+        )
+    return states
+
+
+def post_all(client, posts):
+    """Upload every ``(scope, lines)`` post; each must be acknowledged."""
+    bodies = []
+    for scope, lines in posts:
+        status, body = client.tenant(scope).upload(lines)
+        assert status in (200, 400), (status, body)
+        assert "truncated" not in body
+        bodies.append(body)
+    return bodies
+
+
+def abandon(handle):
+    """The in-process crash model: stop the daemon without the final
+    checkpoint its shutdown path would write."""
+    handle.daemon.checkpoint = lambda *args, **kwargs: False
+    handle.stop()
+
+
+#: Two tenants' uploads with replays and a quarantined line, plus a
+#: third tenant that only ever receives quarantined lines.
+CRASH_POSTS = [
+    (None, [doc_text(0), doc_text(1, tenant=OTHER), "not json"]),
+    (OTHER, [doc_text(2, tenant=OTHER), doc_text(1, tenant=OTHER)]),
+    (None, [doc_text(0), doc_text(3)]),
+    ("gcc/train", ["{broken", '{"format": "wrong"}']),
+    (OTHER, [doc_text(4, tenant=OTHER), doc_text(5, tenant=DEFAULT)]),
+    (None, [doc_text(6), doc_text(7, tenant=OTHER), doc_text(3)]),
+    (None, [doc_text(8)]),
+]
+
+
+class TestCrashDurability:
+    """An acknowledged line survives any crash, counted exactly once."""
+
+    def test_kill_9_loses_no_acknowledged_line(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        proc, banner, port = launch_server(store_dir)
+        try:
+            with DaemonClient("127.0.0.1", port) as client:
+                post_all(client, CRASH_POSTS)
+            # SIGKILL right after the last acknowledged POST: no
+            # drain, no final checkpoint.
+            proc.kill()
+            proc.wait(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
+
+        proc, banner, port = launch_server(store_dir)
+        try:
+            assert "[3/3 tenant(s)]" in banner, banner
+            with DaemonClient("127.0.0.1", port) as client:
+                _, health = client.healthz()
+                assert {name: counters["checkpoint"]
+                        for name, counters in health["tenants"].items()} \
+                    == dict.fromkeys((DEFAULT, OTHER, "gcc/train"),
+                                     "restored")
+                assert http_states(client) == reference_states(CRASH_POSTS)
+                # Re-POSTing everything folds nothing.
+                assert [body["folded"]
+                        for body in post_all(client, CRASH_POSTS)] \
+                    == [0] * len(CRASH_POSTS)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=15) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_crash_point_equals_a_daemon_that_never_crashed(
+        self, data
+    ):
+        line = st.one_of(
+            st.builds(doc_text, st.integers(0, 5)),
+            st.builds(lambda i: doc_text(i, tenant=OTHER),
+                      st.integers(0, 5)),
+            st.builds(lambda i: doc_text(i, tenant=DEFAULT),
+                      st.integers(0, 5)),
+            st.sampled_from(["not json", '{"format": "wrong"}']),
+        )
+        posts = data.draw(st.lists(
+            st.tuples(st.sampled_from([None, OTHER]),
+                      st.lists(line, min_size=1, max_size=4)),
+            min_size=1, max_size=6,
+        ))
+        crash = data.draw(st.integers(0, len(posts)))
+        # Also crash between a durable checkpoint and the deletion of
+        # the log segments it covers: replay must skip their records.
+        keep_covered = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(os.path.join(root, "store"))
+            handle = start_daemon_thread(daemon_config(), store=store)
+            with mock.patch.object(
+                WriteAheadLog, "drop_before",
+                (lambda self, segment: None) if keep_covered
+                else WriteAheadLog.drop_before,
+            ), DaemonClient.for_daemon(handle) as client:
+                post_all(client, posts[:crash])
+            abandon(handle)
+            with start_daemon_thread(daemon_config(), store=store) as handle:
+                with DaemonClient.for_daemon(handle) as client:
+                    assert http_states(client) == \
+                        reference_states(posts[:crash])
+                    post_all(client, posts[crash:])
+                    assert http_states(client) == reference_states(posts)
+
+    def test_torn_tail_is_dropped_counted_and_served(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        handle = start_daemon_thread(daemon_config(), store=store)
+        with DaemonClient.for_daemon(handle) as client:
+            post_all(client, CRASH_POSTS)
+        abandon(handle)
+        # Cut the default tenant's newest record (the last POST's only
+        # line) mid-record, as a crash during its append would.
+        directory = wal_dir(store.root, checkpoint_key("test", MergePolicy()))
+        segment = os.path.join(directory, sorted(os.listdir(directory))[-1])
+        data = Path(segment).read_bytes()
+        assert data.endswith(b"\n") and doc_text(8).encode() in data
+        os.truncate(segment, len(data) - 20)
+
+        registry = default_registry()
+        torn = registry.counter("service.agg.wal.torn")
+        with start_daemon_thread(daemon_config(), store=store) as handle:
+            assert registry.counter("service.agg.wal.torn") == torn + 1
+            with DaemonClient.for_daemon(handle) as client:
+                assert http_states(client) == \
+                    reference_states(CRASH_POSTS[:-1])
+                status, metrics = client.metrics()
+                table = stage_table([], metrics["metrics"])
+                assert "torn WAL records" in table
+                # The dropped line was never acknowledged; re-sent, it
+                # folds.
+                status, body = client.tenant().upload([doc_text(8)])
+                assert status == 200 and body["folded"] == 1
+                assert http_states(client) == reference_states(CRASH_POSTS)
+
+    def test_concurrent_uploads_racing_checkpoints_survive_a_crash(
+        self, tmp_path
+    ):
+        tenants = (DEFAULT, OTHER, "256.bzip2/C")
+        per_tenant = {name: [doc_text(i, tenant=name) for i in range(36)]
+                      for name in tenants}
+        interleaved = [per_tenant[name][i]
+                       for i in range(36) for name in tenants]
+        shards = [interleaved[k::4] for k in range(4)]
+        store = ArtifactStore(str(tmp_path / "store"))
+        # The GC tick checkpoints dirty tenants while uploads append.
+        config = daemon_config(gc_max_bytes=10 ** 9, gc_interval=0.01)
+        failures = []
+        deadline = time.monotonic() + 120
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            handle = start_daemon_thread(config, store=store)
+
+            def upload(shard):
+                try:
+                    with DaemonClient.for_daemon(handle) as client:
+                        cursor = 0
+                        while cursor < len(shard):
+                            if time.monotonic() > deadline:
+                                failures.append("deadline")
+                                return
+                            size = 1 + cursor % 4
+                            status, _ = client.tenant().upload(
+                                shard[cursor:cursor + size]
+                            )
+                            if status != 200:
+                                failures.append(status)
+                            cursor += size
+                except Exception as exc:  # noqa: BLE001 - recorded
+                    failures.append(repr(exc))
+
+            threads = [threading.Thread(target=upload, args=(shard,))
+                       for shard in shards]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=150)
+            assert not any(thread.is_alive() for thread in threads)
+            abandon(handle)
+        finally:
+            sys.setswitchinterval(previous)
+        assert failures == []
+        assert handle.daemon.checkpoints > 0
+
+        with start_daemon_thread(daemon_config(), store=store) as handle:
+            with DaemonClient.for_daemon(handle) as client:
+                for name in tenants:
+                    status, snap = client.tenant(name).snapshot()
+                    assert status == 200
+                    wire = FleetProfile.from_dict(snap["fleet"])
+                    assert wire.runs == 36
+                    assert equivalence_diffs(
+                        merge_runs(runs_of(per_tenant[name])), wire,
+                        WIRE_CONTRACT,
+                    ) == []
+
+    def test_not_durable_upload_is_a_503(self, tmp_path, monkeypatch):
+        from repro.service import artifacts
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        store = ArtifactStore(str(tmp_path / "store"))
+        with start_daemon_thread(daemon_config(), store=store) as handle:
+            with DaemonClient.for_daemon(handle) as client:
+                monkeypatch.setattr(WriteAheadLog, "append", disk_full)
+                # A failed append falls back to a full checkpoint...
+                status, body = client.tenant().upload([doc_text(0)])
+                assert status == 200 and body["folded"] == 1
+                # ...and when that fails too, nothing is acknowledged.
+                monkeypatch.setattr(artifacts, "atomic_write", disk_full)
+                registry = default_registry()
+                before = registry.counter("server.ingest.not_durable")
+                status, body = client.tenant().upload([doc_text(1)])
+                assert status == 503
+                assert "durable" in body["error"] and body["hint"]
+                assert registry.counter("server.ingest.not_durable") == \
+                    before + 1
+                monkeypatch.undo()
+                # The disk is back: the retry is acknowledged.
+                status, body = client.tenant().upload([doc_text(1)])
+                assert status == 200 and body["duplicates"] == 1
+        with start_daemon_thread(daemon_config(), store=store) as handle:
+            with DaemonClient.for_daemon(handle) as client:
+                _, health = client.healthz()
+                assert health["documents"] == 2
+
+    def test_gc_tick_and_repack_write_no_needless_checkpoint(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        config = daemon_config(gc_max_bytes=10 ** 9, gc_interval=0.02)
+        with start_daemon_thread(config, store=store) as handle:
+            daemon = handle.daemon
+            with DaemonClient.for_daemon(handle) as client:
+                post_all(client, CRASH_POSTS)
+                deadline = time.time() + 5
+                while any(t.dirty for t in daemon.registry.tenants()) \
+                        and time.time() < deadline:
+                    time.sleep(0.02)
+                assert not any(t.dirty for t in daemon.registry.tenants())
+                written, sweeps = daemon.checkpoints, daemon.gc_sweeps
+                while daemon.gc_sweeps < sweeps + 3 \
+                        and time.time() < deadline:
+                    time.sleep(0.02)
+                _, health = client.healthz()
+                wal = health["wal"][DEFAULT]
+                assert wal["checkpoint_position"] == wal["position"] > 0
+                # Idle sweeps and a repack leave the checkpoints alone.
+                assert client.tenant().repack()[0] == 200
+                assert daemon.checkpoints == written
+                _, page = client.tenant(DEFAULT).dashboard()
+                assert "WAL bytes" in page and "checkpoint position" in page
+
+    def test_pre_wal_checkpoint_restores_with_an_empty_log(self, tmp_path):
+        from repro.service import IncrementalAggregator
+
+        store = ArtifactStore(str(tmp_path / "store"))
+        agg = IncrementalAggregator(MergePolicy())
+        for i in range(3):
+            assert agg.ingest_text(doc_text(i))
+        state = agg.to_state()
+        # The checkpoint payload as written before the WAL existed.
+        assert store.put(checkpoint_key("test", MergePolicy()), {
+            "kind": "aggregator-checkpoint",
+            "agg_version": AGGREGATOR_STATE_VERSION,
+            "state_digest": agg.state_digest(state),
+            "state": state,
+        })
+        with start_daemon_thread(daemon_config(), store=store) as handle:
+            with DaemonClient.for_daemon(handle) as client:
+                _, health = client.healthz()
+                assert health["tenants"][DEFAULT]["documents"] == 3
+                assert health["tenants"][DEFAULT]["checkpoint"] == "restored"
+                assert health["wal"][DEFAULT] == {
+                    "bytes": 0, "position": 0, "checkpoint_position": 0,
+                }
+                assert client.tenant().upload([doc_text(0)])[1][
+                    "duplicates"] == 1
 
 
 class TestDeprecatedShims:
