@@ -27,10 +27,8 @@ document for everything that parameterizes a daemon — bind address,
 default benchmark, checkpoint tag, GC budget, the embedded pipeline
 document — powering ``repro server --config server.json``.
 
-The old scattered-kwarg spelling (``VacuumPacker(classic=True, ...)``)
-still works through a shim that emits a ``DeprecationWarning``; no
-in-repo caller uses it outside the shim's own tests, and CI asserts
-that stays true.
+``VacuumPacker`` takes its knobs only through a :class:`PipelineConfig`
+(``config.packer()`` builds one).
 """
 
 from __future__ import annotations
@@ -221,9 +219,9 @@ class ServerConfig:
     #: Seconds between GC sweeps.
     gc_interval: float = 30.0
     #: Optional directory of profile documents preloaded (and dedup'd)
-    #: into the aggregators on boot — the ``repro serve --listen``
-    #: migration path.  Documents route by their ``meta.benchmark``
-    #: stamp exactly like uploads.
+    #: into the aggregators on boot (``repro server --profiles``).
+    #: Documents route by their ``meta.benchmark`` stamp exactly like
+    #: uploads.
     profiles_dir: Optional[str] = None
     #: Seconds shutdown waits for in-flight requests to drain.
     drain_timeout: float = 5.0
@@ -288,32 +286,6 @@ class ServerConfig:
 
     def replace(self, **changes) -> "ServerConfig":
         return dataclasses.replace(self, **changes)
-
-
-#: Maps the legacy ``VacuumPacker`` keyword names onto config fields.
-LEGACY_KWARGS = {
-    "hsd_config": "hsd",
-    "region_config": "region",
-    "similarity": "similarity",
-    "link": "link",
-    "optimize": "optimize",
-    "classic": "classic",
-    "ordering": "ordering",
-    "strict": "strict",
-    "validate": "validate",
-}
-
-
-def config_from_legacy(
-    base: Optional[PipelineConfig] = None, **legacy
-) -> PipelineConfig:
-    """A config with the given legacy kwargs applied over ``base``."""
-    changes = {
-        LEGACY_KWARGS[name]: value
-        for name, value in legacy.items()
-        if value is not None
-    }
-    return dataclasses.replace(base or PipelineConfig(), **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +369,10 @@ def profile(
 
 __all__ = [
     "CONFIG_VERSION",
-    "LEGACY_KWARGS",
     "ObsConfig",
     "PipelineConfig",
     "SERVER_CONFIG_VERSION",
     "ServerConfig",
-    "config_from_legacy",
     "pack",
     "profile",
 ]

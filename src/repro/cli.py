@@ -229,12 +229,9 @@ def _parse_bench_spec(spec: str) -> tuple:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.service import IncrementalAggregator, simulate_fleet
+    from repro.service import simulate_fleet
 
     benchmark, input_name = _parse_bench_spec(args.bench)
-    aggregator = (
-        IncrementalAggregator() if args.aggregator == "streaming" else None
-    )
     clients = simulate_fleet(
         benchmark,
         input_name,
@@ -243,7 +240,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         epochs=args.epochs,
         scale=args.scale,
-        aggregator=aggregator,
     )
     summary = {
         "benchmark": args.bench,
@@ -255,16 +251,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             for c in clients
         ],
     }
-    if aggregator is not None:
-        fleet = aggregator.snapshot()
-        summary["aggregate"] = {
-            "mode": "streaming",
-            "documents": aggregator.documents,
-            "quarantined": len(aggregator.rejected),
-            "phases_merged": len(fleet.phases),
-            "max_epoch": fleet.max_epoch,
-            "profile_digest": fleet.digest(),
-        }
     print(_json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -288,14 +274,12 @@ def _server_config_from_args(args: argparse.Namespace):
 
     ``repro server --config`` takes a :class:`repro.api.ServerConfig`
     document (not a pipeline document — the pipeline section nests
-    inside it); explicit flags override file values.  The forwarding
-    path (``repro serve --listen``) has no server document and keeps
-    its pipeline ``--config`` semantics.
+    inside it); explicit flags override file values.
     """
     from repro.api import PipelineConfig, ServerConfig
 
     base = None
-    if args.command == "server" and getattr(args, "config", None):
+    if args.config:
         try:
             base = ServerConfig.load(args.config)
         except OSError as exc:
@@ -305,21 +289,19 @@ def _server_config_from_args(args: argparse.Namespace):
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"repro: bad --config {args.config}: {exc}")
 
-    bench = getattr(args, "bench", None)
-    if base is None and not bench:
+    if base is None and not args.bench:
         raise SystemExit(
             "repro server: --bench NAME/INPUT or --config SERVER.json "
             "is required"
         )
 
     changes = {}
-    if bench:
-        benchmark, input_name = _parse_bench_spec(bench)
+    if args.bench:
+        benchmark, input_name = _parse_bench_spec(args.bench)
         changes["benchmark"] = benchmark
         changes["input_name"] = input_name
-    listen = getattr(args, "listen", None)
-    if listen:
-        changes["host"], changes["port"] = _parse_listen(listen)
+    if args.listen:
+        changes["host"], changes["port"] = _parse_listen(args.listen)
     elif base is None:
         changes["host"], changes["port"] = "127.0.0.1", 8080
     for attr, key in (
@@ -332,19 +314,14 @@ def _server_config_from_args(args: argparse.Namespace):
         ("checkpoint_tag", "tag"),
         ("store", "store"),
     ):
-        value = getattr(args, attr, None)
+        value = getattr(args, attr)
         if value is not None:
             changes[key] = value
 
-    # The daemon's ingest is always the streaming aggregator — that is
-    # the point of a daemon; --aggregator batch only affects one-shot
-    # serve.  Knobs absent from the serve parser fall back to daemon
-    # defaults, so both entry points build the same config.
-    pipeline = getattr(args, "pipeline", None)
-    if pipeline is None and base is not None and base.pipeline is not None:
+    pipeline = PipelineConfig()
+    if base is not None and base.pipeline is not None:
         pipeline = PipelineConfig.from_dict(base.pipeline)
-    pipeline = pipeline or PipelineConfig()
-    if getattr(args, "classic", False):
+    if args.classic:
         pipeline = pipeline.replace(classic=True)
     changes["pipeline"] = pipeline.to_dict()
 
@@ -365,24 +342,17 @@ def _cmd_server(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.errors import ServiceError
     from repro.experiments.parallel import resolve_jobs
     from repro.service import (
         ArtifactStore,
         FarmConfig,
         IncrementalAggregator,
-        MergePolicy,
         build_report,
         default_store,
-        ingest_dir,
-        merge_runs,
         pack_fleet,
     )
 
-    if getattr(args, "listen", None):
-        return _cmd_server(args)
     benchmark, input_name = _parse_bench_spec(args.bench)
     pipeline = _base_config(args)
     if args.classic:
@@ -391,32 +361,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store = (
             ArtifactStore(args.store) if args.store else default_store()
         )
-        aggregate_section = None
-        if args.aggregator == "streaming":
-            # The live state checkpoints under the profiles directory's
-            # identity: a restarted serve over the same directory
-            # restores it and the per-path dedup skips every document
-            # already folded, so only new uploads cost ingest work.
-            policy = MergePolicy()
-            tag = f"serve:{Path(args.profiles).resolve()}"
-            restored = IncrementalAggregator.restore(store, tag, policy)
-            aggregator = restored or IncrementalAggregator(policy)
-            folded = aggregator.ingest_paths(
-                sorted(Path(args.profiles).glob("*.json"))
-            )
-            ingest = aggregator.ingest_view()
-            fleet = aggregator.snapshot()
-            aggregator.save_checkpoint(store, tag)
-            aggregate_section = {
-                "mode": "streaming",
-                "checkpoint": "restored" if restored else "cold",
-                "documents": aggregator.documents,
-                "folded_now": folded,
-                "deduplicated": aggregator.duplicates,
-            }
-        else:
-            ingest = ingest_dir(args.profiles)
-            fleet = merge_runs(ingest)
+        # A fresh fold of the directory as it is now, never a restored
+        # checkpoint: a deleted document must not stay merged.  The
+        # resumable service is `repro server`.
+        aggregator = IncrementalAggregator()
+        aggregator.ingest_dir(args.profiles)
+        fleet = aggregator.snapshot()
         config = FarmConfig(
             benchmark=benchmark,
             input_name=input_name,
@@ -431,8 +381,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             message += f" (hint: {exc.hint})"
         raise SystemExit(message)
     report = build_report(
-        ingest, fleet, packed, config, store, jobs=resolve_jobs(args.jobs),
-        aggregate=aggregate_section,
+        aggregator.ingest_view(), fleet, packed, config, store,
+        jobs=resolve_jobs(args.jobs),
     )
     _emit(report.to_json(), args.out)
     return 0
@@ -471,7 +421,6 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             min_staleness=args.min_staleness,
             patience=args.patience,
             pipeline=pipeline.to_dict(),
-            aggregator=args.aggregator,
         )
     except ValueError as exc:
         raise SystemExit(f"repro drift: {exc}")
@@ -680,19 +629,10 @@ def _parents(*names: str) -> List[argparse.ArgumentParser]:
     engine.add_argument("--engine", default=None, type=_normalize_engine,
                         choices=("batched", "compiled", "reference"),
                         help="execution engine (sets REPRO_ENGINE): batched "
-                             "lockstep fleet rows (default; falls back to "
-                             "compiled for single runs), per-client "
-                             "compiled, or the reference interpreter")
+                             "fleet rows (default; falls back to compiled "
+                             "for single runs), per-client compiled, or "
+                             "the reference interpreter")
     registry["engine"] = engine
-
-    aggregator = argparse.ArgumentParser(add_help=False)
-    aggregator.add_argument(
-        "--aggregator", default="batch", choices=("streaming", "batch"),
-        help="profile aggregation strategy: streaming folds each "
-             "document into a live IncrementalAggregator (O(phases) per "
-             "document, checkpointable); batch re-clusters the whole "
-             "set from scratch (default)")
-    registry["aggregator"] = aggregator
 
     # Shared by the one-shot fleet request (serve) and the daemon
     # (server), so both spell the packing knobs identically.
@@ -800,20 +740,19 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser(
         "ingest",
         help="simulate a client fleet: N profiling runs -> profile docs",
-        parents=_parents("config", "scale", "engine", "aggregator"),
+        parents=_parents("config", "scale", "engine"),
     )
     ingest.add_argument("--bench", required=True, metavar="NAME/INPUT",
                         help="benchmark binary the fleet runs")
     ingest.add_argument("--runs", type=int, default=16,
                         help="simulated client runs (default 16)")
-    ingest.add_argument("--seed", "--base-seed", dest="seed", type=int,
-                        default=0,
+    ingest.add_argument("--seed", type=int, default=0,
                         help="client i profiles with behavior seed "
                              "base+i (default 0)")
     ingest.add_argument("--epochs", type=int, default=1,
                         help="spread runs over this many staleness "
                              "epochs (default 1)")
-    ingest.add_argument("--out", "--out-dir", dest="out", required=True,
+    ingest.add_argument("--out", required=True,
                         help="directory for the profile documents")
     ingest.set_defaults(func=_cmd_ingest)
 
@@ -822,14 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet request: ingest profiles -> merge -> sharded pack "
              "-> JSON report",
         parents=_parents("config", "scale", "jobs", "out", "engine",
-                         "aggregator", "fleet"),
+                         "fleet"),
     )
     serve.add_argument("--profiles", required=True,
                        help="directory of client profile documents")
-    serve.add_argument("--listen", default=None, metavar="HOST:PORT",
-                       help="run as the long-lived HTTP daemon instead "
-                            "of one shot, preloading --profiles "
-                            "(same as `repro server`)")
     serve.set_defaults(func=_cmd_serve)
 
     server = sub.add_parser(
@@ -838,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
              "streaming NDJSON ingest routed per meta.benchmark, "
              "/tenants/<name>/{profiles,snapshot,repack}, /artifacts, "
              "dashboards, store GC",
-        parents=_parents("scale", "jobs", "engine", "aggregator"),
+        parents=_parents("scale", "jobs", "engine"),
     )
     server.add_argument("--config", metavar="SERVER.json", default=None,
                         help="ServerConfig document (repro.api."
@@ -878,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuous re-optimization loop: simulate epochs, inject "
              "drift, detect decay, re-pack, measure time-to-recover",
         parents=_parents("config", "scale", "jobs", "out", "verbose",
-                         "engine", "aggregator"),
+                         "engine"),
     )
     drift.add_argument("--bench", required=True, metavar="NAME/INPUT",
                        help="benchmark binary the fleet runs")

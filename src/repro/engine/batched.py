@@ -1,4 +1,4 @@
-"""Batched execution: N client runs of one binary advanced in lockstep.
+"""Batched execution: N client runs of one binary in one call.
 
 Fleet features (service ingest, the drift controller's per-epoch
 probes, the bench suite) simulate clients by re-running the compiled
@@ -10,24 +10,21 @@ This module batches them:
 * :class:`BatchTables` lowers the compiled program's lazily-built
   segment/fused tables into flat numpy arrays shared by every row —
   built once per program, cached alongside the compiled tables;
-* :class:`BatchedExecutor` advances N rows through three interchangeable
-  kernels, all **bit-identical** to N sequential
+* :class:`BatchedExecutor` advances N rows through two kernels, both
+  **bit-identical** to N sequential
   :class:`~repro.engine.compiled.CompiledExecutor` runs:
 
-  - ``lockstep`` — pure numpy: one vector op advances every active row
-    one branch retirement (per-row splitmix64 state via
-    :func:`~repro.engine.compiled._vec_splitmix64` arithmetic, per-row
-    continuation stacks, early-halting rows masked out and parked);
-  - ``native`` — the same walk compiled to a tiny C kernel at runtime
-    with the system C compiler (see :mod:`repro.engine.native`); used
-    automatically when a compiler is available, because numpy dispatch
-    overhead puts a floor under lockstep throughput at small N;
+  - ``native`` — the fused-transition walk compiled to a tiny C
+    kernel at runtime with the system C compiler (see
+    :mod:`repro.engine.native`); used automatically when a compiler
+    is available;
   - ``scalar`` — one :class:`CompiledExecutor` per row: the exactness
     fallback for hazards (instruction-limited budgets, step-guard
-    crossings, branchless cycles, stack overflow) and for N=1.
+    crossings, branchless cycles, stack overflow), for N=1, and for
+    every row when no C compiler exists.
 
   Kernel choice: ``REPRO_BATCH_KERNEL`` = ``auto`` (default) | ``native``
-  | ``lockstep`` | ``scalar``.
+  | ``scalar``.
 
 Equivalence is contractual, exactly as for the compiled engine:
 identical :class:`~repro.engine.executor.ExecutionSummary` fields and
@@ -55,7 +52,6 @@ from repro.engine.compiled import (
     _build_segment,
     _FUSE_PAD,
     compile_program,
-    phases_for,
     share_outcome_table,
 )
 from repro.engine.executor import (
@@ -72,9 +68,6 @@ from repro.program.program import Program
 
 _MASK64 = (1 << 64) - 1
 _FNV = 0x100000001B3
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 
 #: seg_kind / f_kind encoding shared with the native kernel.
 _K_BRANCH, _K_RET, _K_HALT, _K_HAZARD = 0, 1, 2, 3
@@ -83,8 +76,8 @@ _STOP = (StopReason.HALTED, StopReason.BRANCH_LIMIT, StopReason.STACK_UNDERFLOW)
 
 
 def batch_kernel() -> str:
-    """``REPRO_BATCH_KERNEL``: ``auto`` (default), ``native``,
-    ``lockstep``, or ``scalar``."""
+    """``REPRO_BATCH_KERNEL``: ``auto`` (default), ``native``, or
+    ``scalar``."""
     return os.environ.get("REPRO_BATCH_KERNEL", "auto").strip().lower()
 
 
@@ -152,7 +145,7 @@ def _flatten(tuples: Sequence[Tuple[int, ...]]):
 class BatchTables:
     """The compiled program's segment/fused tables as flat arrays.
 
-    Everything the lockstep and native kernels index per event, built
+    Everything the native kernel indexes per event, built
     once per :class:`CompiledProgram` (all segments and fused
     transitions force-built up front) and shared by every batch.
     Blocks whose segment walk is a branchless cycle are marked
@@ -303,16 +296,14 @@ class BatchRun:
 
 
 class BatchedExecutor:
-    """Advance N client runs of one program in lockstep.
+    """Advance N client runs of one program over shared tables.
 
     ``seeds`` gives each row its behavior seed; ``row_probs`` optionally
     overrides the per-row probability matrix (shape ``[ndense, nphase]``,
     see :func:`prob_matrix`) for fleets whose rows drifted apart.  The
-    phase script and limits are shared — that is what makes lockstep
-    sound: every active row retires its ``t``-th branch on iteration
-    ``t``, so the phase id is a scalar per iteration and per-row phase
-    cursors only diverge when a row halts early (it parks; its cursor
-    freezes).
+    phase script and limits are shared by every row, so the flat
+    tables, phase arrays, and native row buffers are built once per
+    batch; only the seed (and a drifted row's probabilities) differs.
     """
 
     def __init__(
@@ -346,10 +337,8 @@ class BatchedExecutor:
                 traces = [self._scalar_row(i) for i in range(n)]
                 run = BatchRun(traces=traces, kernel=kernel,
                                scalar_rows=list(range(n)))
-            elif kernel == "native":
-                run = self._run_native()
             else:
-                run = self._run_lockstep()
+                run = self._run_native()
             steps = sum(t.summary.steps for t in run.traces)
             inc("engine.batched.steps", steps, kernel=run.kernel)
             inc(
@@ -363,11 +352,11 @@ class BatchedExecutor:
     # -- kernel selection ---------------------------------------------
     def _pick_kernel(self, n: int) -> str:
         choice = batch_kernel()
-        if choice not in ("auto", "native", "lockstep", "scalar"):
+        if choice not in ("auto", "native", "scalar"):
             raise ValueError(f"unknown REPRO_BATCH_KERNEL {choice!r}")
         if choice == "scalar" or n <= 1:
             return "scalar"
-        # The vector kernels share limits across rows and pre-size the
+        # The native kernel shares limits across rows and pre-sizes the
         # event log from max_branches; instruction-limited or unbounded
         # budgets take the compiled engine's own exact paths per row.
         if (
@@ -376,20 +365,16 @@ class BatchedExecutor:
             or self.limits.max_branches > (1 << 26)
         ):
             return "scalar"
-        if choice in ("auto", "native"):
-            from repro.engine.native import native_kernel
+        from repro.engine.native import native_kernel
 
-            if native_kernel() is not None:
-                return "native"
-            if choice == "native":
-                raise RuntimeError(
-                    "REPRO_BATCH_KERNEL=native but no working C compiler; "
-                    "unset it or use lockstep/scalar"
-                )
-        # Lockstep's event log is [max_branches, N]; keep it bounded.
-        if self.limits.max_branches * n > (1 << 24):
-            return "scalar"
-        return "lockstep"
+        if native_kernel() is not None:
+            return "native"
+        if choice == "native":
+            raise RuntimeError(
+                "REPRO_BATCH_KERNEL=native but no working C compiler; "
+                "unset it or use scalar"
+            )
+        return "scalar"
 
     # -- shared row plumbing ------------------------------------------
     def _phase_arrays(self):
@@ -531,246 +516,6 @@ class BatchedExecutor:
             )
             traces[i] = self._trace_from_log(log_row, summary)
         return BatchRun(traces=traces, kernel="native",
-                        scalar_rows=scalar_rows)
-
-    # -- lockstep kernel ----------------------------------------------
-    def _run_lockstep(self) -> BatchRun:
-        tables = self.tables
-        n = len(self.seeds)
-        nblocks = tables.nblocks
-        ndense = max(tables.ndense, 1)
-        max_branches = int(self.limits.max_branches)
-        step_guard = self.limits.max_steps - 4 * nblocks - _FUSE_PAD
-
-        sp, sl = self._phase_arrays()
-        phase_of_event = phases_for(self.phase_script, max_branches)
-        shared_probs = prob_matrix(self.behavior, tables, sp.tolist())
-        nphase = shared_probs.shape[1] if shared_probs.size else 1
-        # [N, ndense, nphase]; rows share storage unless drifted.
-        if self.row_probs is None:
-            prob_cube = np.broadcast_to(
-                shared_probs, (n,) + shared_probs.shape
-            )
-        else:
-            prob_cube = np.stack(
-                [self._row_prob(i, shared_probs) for i in range(n)]
-            )
-        stable_fnv = stable_fnv_for(self.behavior, tables)
-        seeds = np.asarray(
-            [s & _MASK64 for s in self.seeds], dtype=np.uint64
-        )
-
-        cur = np.full(n, -1, dtype=np.int64)
-        occ = np.zeros((n, ndense), dtype=np.uint64)
-        instr = np.zeros(n, dtype=np.int64)
-        steps = np.zeros(n, dtype=np.int64)
-        calls = np.zeros(n, dtype=np.int64)
-        taken_tot = np.zeros(n, dtype=np.int64)
-        nev = np.zeros(n, dtype=np.int64)
-        stop = np.zeros(n, dtype=np.int64)
-        seg_cnt = np.zeros((n, nblocks), dtype=np.int64)
-        stack_cap = 64
-        stack = np.zeros((n, stack_cap), dtype=np.int32)
-        sp_depth = np.zeros(n, dtype=np.int64)
-        log = np.zeros((max_branches, n), dtype=np.int32)
-        hazard = np.zeros(n, dtype=bool)
-        parked = np.zeros(n, dtype=bool)
-
-        def _park(rows: np.ndarray, reason: int) -> None:
-            parked[rows] = True
-            stop[rows] = reason
-
-        def _grow_stack() -> None:
-            nonlocal stack, stack_cap
-            stack_cap *= 2
-            bigger = np.zeros((n, stack_cap), dtype=np.int32)
-            bigger[:, : stack.shape[1]] = stack
-            stack = bigger
-
-        def _push_from(rows, off, cnt, data) -> None:
-            """Vectorized continuation pushes (off/cnt per row); the
-            single-push case (CALL chains) is the fast path, multi-push
-            (JUMP continuations) loops over its few rows."""
-            if not rows.size:
-                return
-            while int(np.max(sp_depth[rows] + cnt)) > stack_cap:
-                _grow_stack()
-            single = cnt == 1
-            ones = rows[single]
-            if ones.size:
-                stack[ones, sp_depth[ones]] = data[off[single]]
-                sp_depth[ones] += 1
-            rest = np.nonzero(~single)[0]
-            for k in rest.tolist():  # multi-push: rare, tiny
-                r = int(rows[k])
-                o, c = int(off[k]), int(cnt[k])
-                stack[r, sp_depth[r]: sp_depth[r] + c] = data[o: o + c]
-                sp_depth[r] += c
-
-        def _advance_segments(rows: np.ndarray, ivec: np.ndarray) -> None:
-            """Step rows through segments until each reaches a pending
-            branch (``cur`` set), parks, or flags a hazard."""
-            while rows.size:
-                kind = tables.seg_kind[ivec]
-                bad = kind == _K_HAZARD
-                if bad.any():
-                    hazard[rows[bad]] = True
-                    rows, ivec, kind = rows[~bad], ivec[~bad], kind[~bad]
-                    if not rows.size:
-                        return
-                seg_cnt[rows, ivec] += 1
-                instr[rows] += tables.seg_instr[ivec]
-                steps[rows] += tables.seg_steps[ivec]
-                calls[rows] += tables.seg_calls[ivec]
-                over = steps[rows] > step_guard
-                if over.any():
-                    hazard[rows[over]] = True
-                    rows, ivec, kind = rows[~over], ivec[~over], kind[~over]
-                    if not rows.size:
-                        return
-                cnt = tables.seg_push_cnt[ivec]
-                pushing = cnt > 0
-                if pushing.any():
-                    _push_from(
-                        rows[pushing],
-                        tables.seg_push_off[ivec[pushing]],
-                        cnt[pushing],
-                        tables.seg_push_data,
-                    )
-                at_branch = kind == _K_BRANCH
-                if at_branch.any():
-                    cur[rows[at_branch]] = tables.seg_end[ivec[at_branch]]
-                halted = kind == _K_HALT
-                if halted.any():
-                    _park(rows[halted], 0)
-                returning = kind == _K_RET
-                rows, ivec = rows[returning], ivec[returning]
-                if not rows.size:
-                    return
-                under = sp_depth[rows] == 0
-                if under.any():
-                    _park(rows[under], 2)
-                    rows = rows[~under]
-                    if not rows.size:
-                        return
-                sp_depth[rows] -= 1
-                ivec = stack[rows, sp_depth[rows]].astype(np.int64)
-
-        all_rows = np.arange(n, dtype=np.int64)
-        _advance_segments(
-            all_rows, np.full(n, tables.entry_index, dtype=np.int64)
-        )
-
-        t = 0
-        while True:
-            act = np.nonzero(~(parked | hazard))[0]
-            if not act.size:
-                break
-            if t >= max_branches:
-                _park(act, 1)
-                break
-            phase = int(phase_of_event[t])
-            j = cur[act]
-            dense = tables.branch_dense[j].astype(np.int64)
-            o = occ[act, dense]
-            occ[act, dense] = o + np.uint64(1)
-            x = o ^ seeds[act]
-            x = x + _GOLDEN
-            x = x ^ (x >> np.uint64(30))
-            x = x * _MIX1
-            x = x ^ (x >> np.uint64(27))
-            x = x * _MIX2
-            x = x ^ (x >> np.uint64(31))
-            x = x ^ stable_fnv[dense]
-            x = x + _GOLDEN
-            x = x ^ (x >> np.uint64(30))
-            x = x * _MIX1
-            x = x ^ (x >> np.uint64(27))
-            x = x * _MIX2
-            x = x ^ (x >> np.uint64(31))
-            unit = x / 2.0**64
-            taken = unit < prob_cube[act, dense, phase]
-            key = 2 * j + taken
-            log[t, act] = key
-            taken_tot[act] += taken
-            nev[act] = t + 1
-
-            valid = tables.f_valid[key] == 1
-            vrows, vkey = act[valid], key[valid]
-            if vrows.size:
-                instr[vrows] += tables.f_instr[vkey]
-                steps[vrows] += tables.f_steps[vkey]
-                calls[vrows] += tables.f_calls[vkey]
-                over = steps[vrows] > step_guard
-                if over.any():
-                    hazard[vrows[over]] = True
-                    vrows, vkey = vrows[~over], vkey[~over]
-                cnt = tables.f_push_cnt[vkey]
-                pushing = cnt > 0
-                if pushing.any():
-                    _push_from(
-                        vrows[pushing],
-                        tables.f_push_off[vkey[pushing]],
-                        cnt[pushing],
-                        tables.f_push_data,
-                    )
-                fkind = tables.f_kind[vkey]
-                ends = fkind == _K_BRANCH
-                if ends.any():
-                    cur[vrows[ends]] = tables.f_end[vkey[ends]]
-                halted = fkind == _K_HALT
-                if halted.any():
-                    _park(vrows[halted], 0)
-                returning = np.nonzero(fkind == _K_RET)[0]
-                if returning.size:
-                    rrows = vrows[returning]
-                    under = sp_depth[rrows] == 0
-                    if under.any():
-                        _park(rrows[under], 2)
-                        rrows = rrows[~under]
-                    if rrows.size:
-                        sp_depth[rrows] -= 1
-                        _advance_segments(
-                            rrows,
-                            stack[rrows, sp_depth[rrows]].astype(np.int64),
-                        )
-            urows, ukey = act[~valid], key[~valid]
-            if urows.size:
-                cnt = tables.u_push_cnt[ukey]
-                pushing = cnt > 0
-                if pushing.any():
-                    _push_from(
-                        urows[pushing],
-                        tables.u_push_off[ukey[pushing]],
-                        cnt[pushing],
-                        tables.u_push_data,
-                    )
-                _advance_segments(
-                    urows, tables.u_next[ukey].astype(np.int64)
-                )
-            t += 1
-
-        traces: List[Optional[TraceData]] = [None] * n
-        scalar_rows: List[int] = []
-        branches_of = nev  # rows retire one event per log entry
-        for i in range(n):
-            if hazard[i]:
-                scalar_rows.append(i)
-                traces[i] = self._scalar_row(i)
-                continue
-            log_row = log[: int(nev[i]), i].copy()
-            key_hist = np.bincount(
-                log_row, minlength=2 * nblocks
-            ).astype(np.int64)
-            key_hist[tables.f_valid == 0] = 0
-            fused_keys = np.nonzero(key_hist)[0]
-            summary = self._summary_from_counts(
-                instr[i], branches_of[i], taken_tot[i], calls[i],
-                steps[i], stop[i], seg_cnt[i],
-                fused_keys, key_hist[fused_keys],
-            )
-            traces[i] = self._trace_from_log(log_row, summary)
-        return BatchRun(traces=traces, kernel="lockstep",
                         scalar_rows=scalar_rows)
 
 

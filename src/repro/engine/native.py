@@ -1,9 +1,8 @@
 """Runtime-compiled C kernel for the batched engine.
 
-Numpy dispatch overhead puts a hard floor under the pure-python
-lockstep kernel: at small fleet sizes (the 16-client service smoke)
-each vector op costs more than the scalar work it replaces.  This
-module compiles a ~150-line C port of
+The scalar kernel walks each row's fused transitions in Python,
+paying interpreter dispatch on every retired branch.  This module
+compiles a ~150-line C port of
 :meth:`repro.engine.compiled.CompiledExecutor._run_segments` with the
 *system* C compiler at first use — no new dependency, no build step —
 and drives it per row over the flat :class:`~repro.engine.batched.BatchTables`
@@ -20,7 +19,7 @@ crossings, stack growth beyond the preallocated cap — makes the kernel
 
 Controls: ``REPRO_NATIVE=off`` disables the kernel entirely; any
 compile or load failure disables it for the process (the batched
-engine then uses lockstep/scalar).  Shared objects are cached under
+engine then runs every row through the scalar kernel).  Shared objects are cached under
 ``~/.cache/repro-native/`` (override: ``REPRO_NATIVE_CACHE``) keyed by
 source hash, so the one-time compile (~100 ms) is paid once per
 machine, not per process.

@@ -46,13 +46,12 @@ from repro.service import (
     FarmPolicy,
     FleetPackResult,
     FleetProfile,
+    IncrementalAggregator,
     IngestResult,
     MergePolicy,
     armed,
     canonical_json,
     corrupt_artifact_entry,
-    ingest_dir,
-    merge_runs,
     pack_fleet,
     simulate_fleet,
     skew_profile_epoch,
@@ -216,10 +215,13 @@ def _serve(
     policy: FarmPolicy,
     jobs: int,
 ) -> Tuple[IngestResult, FleetProfile, FleetPackResult]:
-    ingest = ingest_dir(str(profiles_dir))
-    fleet = merge_runs(ingest, policy=merge_policy)
+    """One ``repro serve``: fold the directory into a fresh aggregator,
+    snapshot, and pack."""
+    aggregator = IncrementalAggregator(merge_policy)
+    aggregator.ingest_dir(profiles_dir)
+    fleet = aggregator.snapshot()
     packed = pack_fleet(fleet, config, jobs=jobs, store=store, policy=policy)
-    return ingest, fleet, packed
+    return aggregator.ingest_view(), fleet, packed
 
 
 def _copy_profiles(source: Path, destination: Path) -> Path:

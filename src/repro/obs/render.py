@@ -268,14 +268,14 @@ def stage_table(spans: Sequence[Span], metrics: Optional[dict] = None) -> str:
     for key, value in metrics.get("gauges", {}).items():
         if series_name(key) == "service.artifacts.bytes":
             summary.append(f"artifact store bytes: {value:,.0f}")
-    # Batched-engine counters appear when a fleet advanced in lockstep.
+    # Batched-engine counters appear once a fleet was simulated.
     batched_rows = _counter_total(metrics, "engine.batched.rows")
     if batched_rows:
         retired = _counter_total(metrics, "engine.batched.retired_rows")
         steps = _counter_total(metrics, "engine.batched.steps")
         summary.append(
             f"batched engine: {batched_rows:.0f} client row(s), "
-            f"{retired:.0f} retired in lockstep, {steps:.0f} steps"
+            f"{retired:.0f} in the native kernel, {steps:.0f} steps"
         )
     # Service-layer fault counters only appear once the fleet service
     # has actually seen trouble — a clean run stays clean.

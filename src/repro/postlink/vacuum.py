@@ -28,9 +28,8 @@ composes every knob into one :class:`~repro.api.PipelineConfig`::
         print(diag.render())
 
 Constructing :class:`VacuumPacker` with a config is equivalent
-(``VacuumPacker(config).pack(workload)``); the historical scattered
-keyword arguments (``VacuumPacker(classic=True, strict=True)``) still
-work through a shim that emits a ``DeprecationWarning``.
+(``VacuumPacker(config).pack(workload)``); a config is the only way
+to set its knobs.
 
 Every stage reports to :mod:`repro.obs`: the Figure-1 spans
 (``pipeline.profile`` … ``pipeline.validate``) when tracing is enabled
@@ -41,9 +40,8 @@ per-stage wall time, bytes rewritten) always.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.obs import annotate, inc, observe, span
 
@@ -51,9 +49,7 @@ from repro.engine.executor import ExecutionSummary
 from repro.engine.listeners import HSDListener
 from repro.engine.trace_cache import compiled_enabled, image_for, traced_run
 from repro.errors import ProfileError, ReproError, RewriteError
-from repro.hsd.config import HSDConfig
 from repro.hsd.detector import HotSpotDetector
-from repro.hsd.filtering import SimilarityPolicy
 from repro.hsd.records import HotSpotRecord
 from repro.packages.construct import (
     PackagedProgramPlan,
@@ -63,7 +59,6 @@ from repro.packages.construct import (
 )
 from repro.packages.ordering import check_ordering_mode
 from repro.program.image import ProgramImage
-from repro.regions.config import RegionConfig
 from repro.regions.identify import branch_locator_from_image, identify_region
 from repro.regions.region import HotRegion, selected_origins
 from repro.workloads.base import Workload
@@ -188,63 +183,16 @@ class VacuumPacker:
     survivors.  ``strict=True`` re-raises the first error instead.
     ``validate`` controls whether the structural oracles
     (:mod:`repro.postlink.validate`) gate every pack.
-
-    The pre-:mod:`repro.api` scattered keyword arguments
-    (``hsd_config=`` … ``validate=``) still work but emit a
-    ``DeprecationWarning``; they are folded into a config by
-    :func:`repro.api.config_from_legacy`.
     """
 
-    def __init__(
-        self,
-        config=None,
-        *,
-        hsd_config: Optional[HSDConfig] = None,
-        region_config: Optional[RegionConfig] = None,
-        similarity: Optional[SimilarityPolicy] = None,
-        link: Optional[bool] = None,
-        optimize: Optional[bool] = None,
-        classic: Optional[bool] = None,
-        ordering: Optional[str] = None,
-        strict: Optional[bool] = None,
-        validate: Optional[bool] = None,
-    ):
-        from repro.api import PipelineConfig, config_from_legacy
+    def __init__(self, config=None):
+        from repro.api import PipelineConfig
 
-        legacy = {
-            name: value
-            for name, value in (
-                ("hsd_config", hsd_config),
-                ("region_config", region_config),
-                ("similarity", similarity),
-                ("link", link),
-                ("optimize", optimize),
-                ("classic", classic),
-                ("ordering", ordering),
-                ("strict", strict),
-                ("validate", validate),
-            )
-            if value is not None
-        }
         if config is not None and not isinstance(config, PipelineConfig):
-            if isinstance(config, HSDConfig):
-                # Oldest spelling: the HSD config passed positionally.
-                legacy.setdefault("hsd_config", config)
-                config = None
-            else:
-                raise TypeError(
-                    "VacuumPacker() expects a repro.api.PipelineConfig, "
-                    f"got {type(config).__name__}"
-                )
-        if legacy:
-            warnings.warn(
-                "VacuumPacker's scattered keyword arguments are "
-                "deprecated; pass repro.api.PipelineConfig "
-                f"(got: {', '.join(sorted(legacy))})",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                "VacuumPacker() expects a repro.api.PipelineConfig, "
+                f"got {type(config).__name__}"
             )
-            config = config_from_legacy(config, **legacy)
         self.config = config or PipelineConfig()
         self.hsd_config = self.config.hsd
         self.region_config = self.config.region
@@ -306,7 +254,7 @@ class VacuumPacker:
         """Profile from an already-recorded branch trace.
 
         The batched fleet engine (:mod:`repro.engine.batched`) advances
-        many clients through one program in lockstep and hands each
+        many clients through one program in one batch and hands each
         row's :class:`~repro.engine.trace_cache.TraceData` here; the
         detector/filter stage is identical to :meth:`profile`, only the
         engine run is skipped.  Pass ``image`` to share the linked

@@ -517,29 +517,12 @@ class ProfileDaemon:
         self._shutdown: Optional[asyncio.Event] = None
         self._repack_lock: Optional[asyncio.Lock] = None
 
-    # -- single-tenant compatibility surface -------------------------
-    # The PR-9 daemon held exactly one aggregator; these properties
-    # keep that shape pointing at the default tenant so existing
-    # callers (tests, tooling poking a live daemon) stay correct.
-
-    @property
-    def aggregator(self) -> IncrementalAggregator:
-        return self.registry.default.aggregator
-
-    @property
-    def agg_lock(self) -> threading.Lock:
-        return self.registry.default.lock
+    # -- state the routes read/write ---------------------------------
 
     @property
     def restored(self) -> bool:
         """True when any tenant resumed from a checkpoint."""
         return any(t.restored for t in self.registry.tenants())
-
-    @property
-    def last_report(self) -> Optional[Dict]:
-        return self.registry.default.last_report
-
-    # -- state the routes read/write ---------------------------------
 
     @property
     def uptime(self) -> float:
@@ -563,10 +546,6 @@ class ProfileDaemon:
             for key in totals:
                 totals[key] += counters[key]
         return totals
-
-    def snapshot(self):
-        """The default tenant's merged fleet (PR-9 compatibility)."""
-        return self.registry.default.snapshot()
 
     def checkpoint_tenant(self, tenant: Tenant) -> bool:
         saved = tenant.checkpoint(self.store)

@@ -18,16 +18,14 @@ scoped to one tenant's routes::
 
 ``client.tenant()`` (no name) speaks the flat PR-9 routes, which
 alias the daemon's default tenant — ``POST /profiles`` through that
-handle still demultiplexes stamped lines per tenant.  The legacy flat
-methods (``post_profiles`` / ``snapshot`` / ``repack``) remain as
-thin shims over ``tenant()`` that emit a ``DeprecationWarning``,
-mirroring the ``VacuumPacker(**kwargs)`` shim.
+handle still demultiplexes stamped lines per tenant.  Per-tenant
+operations live only on these handles; the client itself keeps the
+daemon-wide endpoints.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from http.client import HTTPConnection, HTTPException
 from typing import Dict, Iterable, Optional, Tuple
 from urllib.parse import quote
@@ -155,34 +153,6 @@ class DaemonClient:
         """The tenant index page (``GET /``)."""
         status, body = self.request("GET", "/")
         return status, body.decode()
-
-    # -- deprecated flat shims ---------------------------------------
-    # PR-9 spelled tenant operations as bare client methods; they now
-    # delegate to the default-tenant handle, like VacuumPacker's
-    # scattered kwargs fold into a PipelineConfig.
-
-    def _deprecated(self, old: str, new: str) -> None:
-        warnings.warn(
-            f"DaemonClient.{old} is deprecated; use "
-            f"DaemonClient.tenant(){new}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def post_profiles(self, texts: Iterable[str]) -> Tuple[int, Dict]:
-        """Deprecated: ``client.tenant().upload(texts)``."""
-        self._deprecated("post_profiles", ".upload(texts)")
-        return self.tenant().upload(texts)
-
-    def snapshot(self) -> Tuple[int, Dict]:
-        """Deprecated: ``client.tenant().snapshot()``."""
-        self._deprecated("snapshot", ".snapshot()")
-        return self.tenant().snapshot()
-
-    def repack(self) -> Tuple[int, Dict]:
-        """Deprecated: ``client.tenant().repack()``."""
-        self._deprecated("repack", ".repack()")
-        return self.tenant().repack()
 
 
 __all__ = ["DaemonClient", "TenantClient"]

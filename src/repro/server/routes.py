@@ -209,16 +209,16 @@ def _repack_sync(daemon: "ProfileDaemon", tenant: "Tenant") -> Dict:
     report = build_report(
         ingest, fleet, packed, farm,
         daemon.store, jobs=resolve_jobs(cfg.jobs),
-        aggregate={
-            "mode": "streaming",
-            "checkpoint": "restored" if tenant.restored else "cold",
-            "documents": documents,
-            "deduplicated": deduplicated,
-        },
-    )
+    ).to_dict()
+    report["aggregate"] = {
+        "mode": "streaming",
+        "checkpoint": "restored" if tenant.restored else "cold",
+        "documents": documents,
+        "deduplicated": deduplicated,
+    }
     return {
         "tenant": tenant.name,
-        "report": report.to_dict(),
+        "report": report,
         "artifacts": [outcome.key for outcome in packed.outcomes],
     }
 

@@ -26,7 +26,6 @@ acknowledged upload survives a crash between checkpoints.
 """
 
 from .aggregate import (
-    AGGREGATOR_MODES,
     AGGREGATOR_STATE_VERSION,
     CONTRACT,
     ClientRun,
@@ -44,7 +43,6 @@ from .aggregate import (
     ingest_paths,
     load_client_run,
     merge_runs,
-    merge_stream,
     profiles_equivalent,
     quarantine_profile,
 )
@@ -84,7 +82,6 @@ from .farm import (
 from .report import FleetReport, build_report
 
 __all__ = [
-    "AGGREGATOR_MODES",
     "AGGREGATOR_STATE_VERSION",
     "ALL_SERVICE_FAULT_MODES",
     "ArtifactEntry",
@@ -128,7 +125,6 @@ __all__ = [
     "ingest_paths",
     "load_client_run",
     "merge_runs",
-    "merge_stream",
     "pack_fleet",
     "profiles_equivalent",
     "quarantine_profile",

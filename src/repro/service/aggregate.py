@@ -25,6 +25,13 @@ agreement score (mean branch-set overlap between each contributor and
 the consensus), and epoch bounds from the profiles' v2 provenance
 stamps, so consumers can see how stale each phase is.
 
+Two implementations share these semantics.  Every service path
+(``repro serve``, the drift controller, the chaos campaign, the
+daemon) folds documents into an :class:`IncrementalAggregator`;
+:func:`merge_runs` re-clusters a whole document set from scratch and
+is kept as the independent oracle the contract tests compare the
+streaming merge against.
+
 Everything is deterministic: runs are processed in sorted run-id
 order, records in index order, and all merge arithmetic is a pure
 function of the ingested documents — the same profile set always
@@ -177,10 +184,7 @@ def ingest_paths(paths: Iterable[Union[str, Path]]) -> IngestResult:
     return result
 
 
-def ingest_dir(
-    directory: Union[str, Path], pattern: str = "*.json"
-) -> IngestResult:
-    """Ingest every matching profile document under ``directory``."""
+def _dir_paths(directory: Union[str, Path], pattern: str) -> Iterable[Path]:
     root = Path(directory)
     if not root.is_dir():
         raise ServiceError(
@@ -188,7 +192,14 @@ def ingest_dir(
             hint="run `repro ingest` (or point --profiles at a "
                  "directory of profile documents) first",
         )
-    return ingest_paths(root.glob(pattern))
+    return root.glob(pattern)
+
+
+def ingest_dir(
+    directory: Union[str, Path], pattern: str = "*.json"
+) -> IngestResult:
+    """Ingest every matching profile document under ``directory``."""
+    return ingest_paths(_dir_paths(directory, pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +525,6 @@ def merge_runs(
 #: carrying any other version is dropped as a miss (cold start).
 AGGREGATOR_STATE_VERSION = 1
 
-#: The two aggregation strategies ``--aggregator`` selects between.
-AGGREGATOR_MODES = ("streaming", "batch")
-
 
 @dataclass(frozen=True)
 class ContractTolerance:
@@ -760,9 +768,9 @@ class IncrementalAggregator:
     ``max_epoch_skew`` clamping anchored at the fleet median), both
     evaluated lazily at snapshot time so the result is independent of
     arrival order.  State checkpoints round-trip through the artifact
-    store (:meth:`save_checkpoint` / :meth:`restore`), and re-ingesting
-    a path whose content is unchanged is a deduplicated no-op, so a
-    restarted service resumes without re-ingesting.
+    store (:meth:`save_checkpoint` / :meth:`load_checkpoint`), and
+    re-ingesting a path whose content is unchanged is a deduplicated
+    no-op, so a restarted service resumes without re-ingesting.
     """
 
     def __init__(self, policy: Optional[MergePolicy] = None):
@@ -838,12 +846,6 @@ class IncrementalAggregator:
             group.fold(run, record)
             inc("service.agg.folded")
 
-    def ingest_document(
-        self, doc: ProfileDocument, path: str = ""
-    ) -> None:
-        """Fold one already-parsed document into the live state."""
-        self.ingest_run(ClientRun.from_document(path, doc))
-
     def ingest_text(
         self, text: str, name: Optional[str] = None,
         parsed: Optional[Dict] = None,
@@ -914,6 +916,11 @@ class IncrementalAggregator:
             1 for path in sorted(str(p) for p in paths)
             if self.ingest_path(path)
         )
+
+    def ingest_dir(self, directory: Union[str, Path]) -> int:
+        """Ingest every ``*.json`` document under ``directory``; folded
+        count.  A missing directory is a :class:`ServiceError`."""
+        return self.ingest_paths(_dir_paths(directory, "*.json"))
 
     def ingest_view(self) -> IngestResult:
         """The batch-shaped view of this aggregator's rejections."""
@@ -1153,7 +1160,8 @@ class IncrementalAggregator:
         """Rebuild an aggregator from :meth:`to_state` output.
 
         Raises ``KeyError``/``TypeError``/``ValueError`` on any shape
-        mismatch — :meth:`restore` turns those into a cold start.
+        mismatch — :meth:`load_checkpoint` turns those into a cold
+        start.
         """
         if state["version"] != AGGREGATOR_STATE_VERSION:
             raise ValueError(
@@ -1235,14 +1243,6 @@ class IncrementalAggregator:
         return size
 
     @classmethod
-    def restore(
-        cls, store, tag: str, policy: Optional[MergePolicy] = None
-    ) -> Optional["IncrementalAggregator"]:
-        """Resume from a checkpoint; ``None`` means cold start."""
-        found = cls.load_checkpoint(store, tag, policy)
-        return found.aggregator if found is not None else None
-
-    @classmethod
     def load_checkpoint(
         cls, store, tag: str, policy: Optional[MergePolicy] = None
     ) -> Optional["Checkpoint"]:
@@ -1315,19 +1315,7 @@ def checkpoint_key(tag: str, policy: MergePolicy) -> str:
     return digest.hexdigest()
 
 
-def merge_stream(
-    paths: Iterable[Union[str, Path]],
-    policy: Optional[MergePolicy] = None,
-    aggregator: Optional[IncrementalAggregator] = None,
-) -> Tuple[IncrementalAggregator, FleetProfile]:
-    """Streaming counterpart of ``merge_runs(ingest_paths(...))``."""
-    aggregator = aggregator or IncrementalAggregator(policy)
-    aggregator.ingest_paths(paths)
-    return aggregator, aggregator.snapshot()
-
-
 __all__ = [
-    "AGGREGATOR_MODES",
     "AGGREGATOR_STATE_VERSION",
     "CONTRACT",
     "Checkpoint",
@@ -1346,7 +1334,6 @@ __all__ = [
     "ingest_paths",
     "load_client_run",
     "merge_runs",
-    "merge_stream",
     "profiles_equivalent",
     "record_signature",
     "quarantine_profile",

@@ -10,8 +10,8 @@ stamp (run id, seed, staleness epoch).
 
 By default the whole fleet advances through the batched engine
 (:mod:`repro.engine.batched`): the binary is built, compiled, and
-linked once, and the N client runs execute as N lockstep rows over the
-shared tables — bit-identical to the per-client path, which remains
+linked once, and the N client runs execute as N rows over the shared
+tables — bit-identical to the per-client path, which remains
 available via ``REPRO_ENGINE=compiled`` (or ``reference``) and is the
 automatic fallback whenever a ``mutate`` hook does something the
 batch cannot express (see :func:`_batched_profiles`).
@@ -26,12 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from repro.hsd.serialize import make_provenance, save_profile
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .aggregate import IncrementalAggregator
 from repro.postlink.vacuum import ProfileResult, VacuumPacker
 from repro.workloads.base import Workload
 from repro.workloads.suite import load_benchmark
@@ -169,7 +166,6 @@ def simulate_fleet(
     run_prefix: str = "r",
     file_prefix: str = "client",
     mutate: Optional[Callable[[Workload, int], None]] = None,
-    aggregator: Optional["IncrementalAggregator"] = None,
 ) -> List[SimulatedClient]:
     """Profile ``runs`` simulated clients and persist their documents.
 
@@ -185,16 +181,10 @@ def simulate_fleet(
     branch behavior in place before profiling, modelling a fleet whose
     dynamic control flow has moved away from the shipped profile.
 
-    The fleet advances through the batched lockstep engine by default
-    (build/compile/link once, one numpy row per client); set
+    The fleet advances through the batched engine by default
+    (build/compile/link once, one row per client); set
     ``REPRO_ENGINE=compiled`` to force the original per-client loop.
     Both paths write byte-identical documents.
-
-    ``aggregator`` (an
-    :class:`~repro.service.aggregate.IncrementalAggregator`) streams
-    each document into the live merged state as it is written, so the
-    fleet is absorbed while it is generated instead of re-ingested
-    afterwards; re-running over an unchanged directory deduplicates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -227,8 +217,6 @@ def simulate_fleet(
                 "provenance": make_provenance(run_id, seed, epoch),
             },
         )
-        if aggregator is not None:
-            aggregator.ingest_path(path)
         clients.append(SimulatedClient(
             run_id=run_id,
             seed=seed,

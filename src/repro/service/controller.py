@@ -14,10 +14,12 @@ epochs of one deployed binary:
 3. a :class:`~repro.service.drift.DriftDetector` watches the projected
    coverage decay against the artifact's provenance staleness (epoch
    stamps merged by :mod:`~repro.service.aggregate`);
-4. when the detector fires, the controller re-aggregates the profiles
-   of the last ``epoch_window`` epochs, re-packs them through the
-   fault-tolerant farm (per-shard artifacts in the content-addressed
-   store) and ships a fresh linked pack via
+4. every shipped document is folded into one live
+   :class:`~repro.service.aggregate.IncrementalAggregator` whose merge
+   policy ages out epochs older than ``epoch_window``; when the
+   detector fires, the controller snapshots it, re-packs the merged
+   phases through the fault-tolerant farm (per-shard artifacts in the
+   content-addressed store) and ships a fresh linked pack via
    :meth:`~repro.postlink.vacuum.VacuumPacker.pack_records` — the same
    persisted-profile seam as ``examples/offline_reoptimize.py``.
 
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Union
 
-from repro.errors import ServiceError
 from repro.experiments.parallel import resolve_jobs
 from repro.experiments.report import format_table
 from repro.obs import annotate, inc, observe, span
@@ -49,13 +50,7 @@ from repro.postlink.coverage import project_coverage
 from repro.regions.region import selected_origins
 from repro.workloads.suite import load_benchmark
 
-from .aggregate import (
-    AGGREGATOR_MODES,
-    IncrementalAggregator,
-    MergePolicy,
-    ingest_paths,
-    merge_runs,
-)
+from .aggregate import IncrementalAggregator, MergePolicy
 from .artifacts import ArtifactStore, default_store
 from .clients import simulate_fleet
 from .drift import DriftDetector, DriftSpec, apply_drift
@@ -95,12 +90,6 @@ class ControllerConfig:
     patience: int = 1
     #: Full pipeline document for the packer (``None`` = defaults).
     pipeline: Optional[Dict] = None
-    #: Re-aggregation strategy: ``"batch"`` re-ingests the window's
-    #: documents from disk on every re-pack; ``"streaming"`` folds each
-    #: epoch's uploads into a live :class:`IncrementalAggregator` as
-    #: they are written and snapshots it (same merged profile, under
-    #: the determinism contract, without the per-re-pack re-ingest).
-    aggregator: str = "batch"
 
     def __post_init__(self) -> None:
         if self.epochs < 2:
@@ -117,11 +106,6 @@ class ControllerConfig:
             raise ValueError("epoch_window must be >= 0")
         if not 0 <= self.recovery_tolerance < 1:
             raise ValueError("recovery_tolerance must be in [0, 1)")
-        if self.aggregator not in AGGREGATOR_MODES:
-            raise ValueError(
-                f"aggregator must be one of {AGGREGATOR_MODES}, "
-                f"got {self.aggregator!r}"
-            )
 
     def farm_config(self) -> FarmConfig:
         return FarmConfig(
@@ -153,7 +137,6 @@ class ControllerConfig:
             "recovery_tolerance": self.recovery_tolerance,
             "shard_size": self.shard_size,
             "drift": self.drift.to_dict(),
-            "aggregator": self.aggregator,
             "detector": {
                 "decay_threshold": self.decay_threshold,
                 "min_staleness": self.min_staleness,
@@ -236,14 +219,6 @@ class ControllerReport:
         return "\n".join(lines)
 
 
-def _epoch_paths(work: Path, first: int, last: int) -> List[Path]:
-    """All profile documents of epochs ``first..last`` inclusive."""
-    paths: List[Path] = []
-    for epoch in range(max(0, first), last + 1):
-        paths.extend(sorted((work / f"epoch-{epoch:03d}").glob("*.json")))
-    return paths
-
-
 def run_controller(
     config: ControllerConfig,
     work_dir: Union[str, Path],
@@ -266,10 +241,7 @@ def run_controller(
         config.benchmark, config.input_name, scale=config.scale
     )
     pristine = canonical.behavior.bias_snapshot()
-    streaming = (
-        IncrementalAggregator(merge_policy)
-        if config.aggregator == "streaming" else None
-    )
+    aggregator = IncrementalAggregator(merge_policy)
 
     shipped: Optional[_Shipped] = None
     epoch_rows: List[Dict] = []
@@ -291,15 +263,9 @@ def run_controller(
         """Merge the window's profiles, pack through the farm, ship."""
         nonlocal repack_seconds
         started = time.perf_counter()
-        if streaming is not None:
-            # The live state already holds every upload; the policy's
-            # epoch window ages the out-of-window epochs at snapshot
-            # time, matching the batch path's window-limited re-ingest.
-            fleet = streaming.snapshot()
-        else:
-            paths = _epoch_paths(work, epoch - config.epoch_window, epoch)
-            ingest = ingest_paths(paths)
-            fleet = merge_runs(ingest, merge_policy)
+        # The live state holds every upload; the policy's epoch window
+        # ages the out-of-window epochs at snapshot time.
+        fleet = aggregator.snapshot()
         packed = pack_fleet(
             fleet, farm_config, jobs=jobs, store=store, policy=policy
         )
@@ -354,7 +320,7 @@ def run_controller(
             if drifted:
                 drift_spec = config.drift
                 mutate = lambda w, i: apply_drift(w.behavior, drift_spec)
-            simulate_fleet(
+            clients = simulate_fleet(
                 config.benchmark,
                 config.input_name,
                 runs=config.clients_per_epoch,
@@ -365,8 +331,8 @@ def run_controller(
                 epoch_offset=epoch,
                 run_prefix=f"e{epoch:03d}c",
                 mutate=mutate,
-                aggregator=streaming,
             )
+            aggregator.ingest_paths(client.path for client in clients)
 
             if shipped is None:
                 shipped, seconds = aggregate_and_ship(epoch)
@@ -498,7 +464,6 @@ def run_controller(
         "benchmark": f"{config.benchmark}/{config.input_name}",
         "scale": config.scale,
         "jobs": resolve_jobs(jobs),
-        "aggregator": config.aggregator,
         "config": config.to_dict(),
         "epochs": epoch_rows,
         "events": events,

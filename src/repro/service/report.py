@@ -59,10 +59,10 @@ def batched_engine_section() -> Dict[str, int]:
 
     ``{"rows": ..., "retired_rows": ..., "steps": ...}`` from this
     process's metrics registry — all zero for a request served purely
-    from on-disk profiles, live counts when the fleet was simulated in
-    lockstep (``repro ingest``/``drift``).  Deterministic for a given
-    request: row/step counts are part of the engine's bit-identity
-    contract, unlike wall-clock timings.
+    from on-disk profiles, live counts when the fleet was simulated by
+    the batched engine (``repro ingest``/``drift``).  Deterministic
+    for a given request: row/step counts are part of the engine's
+    bit-identity contract, unlike wall-clock timings.
     """
     from repro.obs import default_registry
     from repro.obs.metrics import series_name
@@ -85,16 +85,8 @@ def build_report(
     config: FarmConfig,
     store: ArtifactStore,
     jobs: int,
-    aggregate: Optional[Dict] = None,
 ) -> FleetReport:
-    """Assemble the fleet report document.
-
-    ``aggregate`` (optional) is the streaming-aggregator section —
-    mode, live-state document counts, checkpoint disposition — added
-    verbatim under ``document["aggregate"]`` when the request was
-    served by an :class:`~repro.service.aggregate.IncrementalAggregator`
-    instead of a from-scratch batch merge.
-    """
+    """Assemble the fleet report document."""
     shards = [
         {
             "shard": outcome.shard,
@@ -155,8 +147,6 @@ def build_report(
         },
         "engine": {"batched": batched_engine_section()},
     }
-    if aggregate is not None:
-        document["aggregate"] = aggregate
     return FleetReport(document=document)
 
 

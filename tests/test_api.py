@@ -1,4 +1,5 @@
-"""Tests for the repro.api facade, PipelineConfig, and the legacy shim."""
+"""Tests for the repro.api facade, PipelineConfig, and the packer's
+config-only constructor."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from repro.api import (
     ObsConfig,
     PipelineConfig,
     ServerConfig,
-    config_from_legacy,
 )
 from repro.hsd.config import HSDConfig
 from repro.postlink.vacuum import VacuumPacker
@@ -88,13 +88,6 @@ class TestPipelineConfig:
         base = PipelineConfig()
         changed = base.replace(strict=True)
         assert changed.strict is True and base.strict is False
-
-    def test_config_from_legacy_maps_kwargs(self):
-        config = config_from_legacy(
-            hsd_config=HSDConfig(counter_bits=6), classic=True
-        )
-        assert config.hsd.counter_bits == 6
-        assert config.classic is True
 
 
 class TestServerConfig:
@@ -197,7 +190,7 @@ class TestFacades:
 
 
 # ---------------------------------------------------------------------------
-# legacy shim
+# the packer takes a PipelineConfig and nothing else
 # ---------------------------------------------------------------------------
 
 class TestLegacyShim:
@@ -207,33 +200,11 @@ class TestLegacyShim:
             packer = VacuumPacker(PipelineConfig(validate=False))
             packer.pack(mcf)
 
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="PipelineConfig"):
-            packer = VacuumPacker(strict=True, link=False)
-        assert packer.config.strict is True
-        assert packer.config.link is False
-
-    def test_legacy_positional_hsd_config_warns(self):
-        hsd = HSDConfig(counter_bits=8)
-        with pytest.warns(DeprecationWarning):
-            packer = VacuumPacker(hsd)
-        assert packer.config.hsd == hsd
-        assert packer.hsd_config == hsd  # back-compat mirror
-
     def test_wrong_config_type_raises(self):
         with pytest.raises(TypeError, match="PipelineConfig"):
             VacuumPacker(config="classic")
-
-    def test_shim_matches_config_spelling(self, mcf):
-        with pytest.warns(DeprecationWarning):
-            legacy = VacuumPacker(classic=True, validate=False)
-        modern = VacuumPacker(
-            PipelineConfig(classic=True, validate=False)
-        )
-        assert (
-            legacy.pack(mcf).expansion_row()
-            == modern.pack(mcf).expansion_row()
-        )
+        with pytest.raises(TypeError, match="HSDConfig"):
+            VacuumPacker(HSDConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The contract (see :mod:`repro.engine.batched`) is that a batch of N
 client rows — divergent behavior seeds over one binary — produces the
 same :class:`ExecutionSummary` fields and the same
 ``(branch_uid, taken, phase)`` event stream as N sequential
-:class:`CompiledExecutor` runs, for every kernel (``scalar``,
-``lockstep``, ``native``) and through the fleet simulation layer
-(byte-identical profile documents).
+:class:`CompiledExecutor` runs, for both kernels (``scalar``,
+``native``) and through the fleet simulation layer (byte-identical
+profile documents).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.workloads.synthetic import (
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
-KERNELS = ("scalar", "lockstep", "native")
+KERNELS = ("scalar", "native")
 
 SUITE_INPUTS = (
     ("181.mcf", "A"),
@@ -216,8 +216,22 @@ def test_fleet_batching_env(monkeypatch):
 def test_batch_kernel_env(monkeypatch):
     monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
     assert batch_kernel() == "auto"
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", " Lockstep ")
-    assert batch_kernel() == "lockstep"
+    monkeypatch.setenv("REPRO_BATCH_KERNEL", " Scalar ")
+    assert batch_kernel() == "scalar"
+
+
+def test_unknown_batch_kernel_raises(monkeypatch):
+    workload, _ = _hypo_workload(2, "sequence")
+    monkeypatch.setenv("REPRO_BATCH_KERNEL", "lockstep")
+    executor = BatchedExecutor(
+        workload.program,
+        workload.behavior,
+        workload.phase_script,
+        seeds=[1, 2],
+        limits=workload.limits,
+    )
+    with pytest.raises(ValueError, match="unknown REPRO_BATCH_KERNEL"):
+        executor.run_traced()
 
 
 def test_single_run_falls_back_to_scalar():

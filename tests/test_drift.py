@@ -170,3 +170,48 @@ class TestControllerEndToEnd:
         document = json.loads(report.to_json())
         assert document["controller_version"] == 1
         assert len(document["epochs"]) == 5
+
+
+class TestControllerStreamingOracle:
+    def test_shipped_fleets_equal_the_batch_merge_of_every_epoch(
+        self, tmp_path, monkeypatch
+    ):
+        """The controller folds every upload into one aggregator and
+        lets its merge policy age old epochs; each fleet it ships must
+        equal the batch oracle over every epoch directory written so
+        far (not just the window's: the policy, not the file set, ages
+        the old epochs)."""
+        import repro.service.controller as controller
+        from repro.service import ArtifactStore, ingest_paths, merge_runs
+
+        config = ControllerConfig(
+            benchmark=BENCH,
+            input_name=INPUT,
+            scale=SCALE,
+            epochs=7,
+            clients_per_epoch=3,
+            epoch_window=1,
+            drift=DriftSpec(epoch=3, severity=0.5),
+        )
+        work = tmp_path / "work"
+        shipped = []
+        pack_fleet = controller.pack_fleet
+
+        def spy(fleet, *args, **kwargs):
+            oracle = merge_runs(
+                ingest_paths(work.glob("epoch-*/*.json")),
+                config.merge_policy(),
+            )
+            shipped.append((fleet, oracle))
+            return pack_fleet(fleet, *args, **kwargs)
+
+        monkeypatch.setattr(controller, "pack_fleet", spy)
+        report = run_controller(
+            config, work, jobs=1, store=ArtifactStore("off")
+        )
+        repacks = report.document["recovery"]["repack_epochs"]
+        assert repacks and len(shipped) == 1 + len(repacks)
+        for fleet, oracle in shipped:
+            assert fleet.digest() == oracle.digest()
+        # The window really aged epochs out of a re-pack.
+        assert any(fleet.aged_out for fleet, _ in shipped)

@@ -242,8 +242,9 @@ class TestCheckpoint:
 
     def test_restore_resumes_without_reingesting(self, tmp_path):
         store, agg = self.checkpoint(tmp_path)
-        back = IncrementalAggregator.restore(store, "t")
-        assert back is not None
+        found = IncrementalAggregator.load_checkpoint(store, "t")
+        assert found is not None
+        back = found.aggregator
         assert back.documents == agg.documents
         assert profiles_equivalent(back.snapshot(), agg.snapshot())
         # The restored state keeps absorbing: both sides fold one more
@@ -265,7 +266,7 @@ class TestCheckpoint:
         with open(path, "wb") as handle:
             handle.write(body[: len(body) // 2])
         before = obs.default_registry().counter("service.agg.checkpoint.miss")
-        assert IncrementalAggregator.restore(store, "t") is None
+        assert IncrementalAggregator.load_checkpoint(store, "t") is None
         assert obs.default_registry().counter(
             "service.agg.checkpoint.miss"
         ) == before + 1
@@ -282,7 +283,7 @@ class TestCheckpoint:
         before = obs.default_registry().counter(
             "service.agg.checkpoint.corrupt"
         )
-        assert IncrementalAggregator.restore(store, "t") is None
+        assert IncrementalAggregator.load_checkpoint(store, "t") is None
         assert obs.default_registry().counter(
             "service.agg.checkpoint.corrupt"
         ) == before + 1
@@ -293,11 +294,11 @@ class TestCheckpoint:
         payload = json.loads(open(self.entry_path(store)).read())["payload"]
         payload["state"]["documents"] = 999  # tamper; digest now stale
         assert store.put(key, payload)
-        assert IncrementalAggregator.restore(store, "t") is None
+        assert IncrementalAggregator.load_checkpoint(store, "t") is None
 
     def test_policy_mismatch_is_a_plain_miss(self, tmp_path):
         store, _ = self.checkpoint(tmp_path, MergePolicy())
-        assert IncrementalAggregator.restore(
+        assert IncrementalAggregator.load_checkpoint(
             store, "t", MergePolicy(epoch_window=2)
         ) is None
 
@@ -312,13 +313,13 @@ class TestCheckpoint:
             "state_digest": agg.state_digest(state),
             "state": state,
         })
-        assert IncrementalAggregator.restore(store, "t") is None
+        assert IncrementalAggregator.load_checkpoint(store, "t") is None
 
     def test_disabled_store_checkpoints_are_clean_misses(self):
         store = ArtifactStore(root="off")
         agg = stream(small_fleet())
         assert not agg.save_checkpoint(store, "t")
-        assert IncrementalAggregator.restore(store, "t") is None
+        assert IncrementalAggregator.load_checkpoint(store, "t") is None
 
 
 class TestPathDedup:

@@ -372,31 +372,33 @@ class TestAggregatorLocking:
     def test_checkpoint_serializes_state_under_the_lock(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
         daemon = ProfileDaemon(daemon_config(), store=store)
-        assert daemon.aggregator.ingest_text(doc_text(0))
+        tenant = daemon.registry.default
+        assert tenant.aggregator.ingest_text(doc_text(0))
         locked_during = []
-        original = daemon.aggregator.to_state
+        original = tenant.aggregator.to_state
 
         def spy():
-            locked_during.append(daemon.agg_lock.locked())
+            locked_during.append(tenant.lock.locked())
             return original()
 
-        daemon.aggregator.to_state = spy
+        tenant.aggregator.to_state = spy
         assert daemon.checkpoint()
         assert locked_during == [True]
 
     def test_snapshot_helper_holds_the_lock(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
         daemon = ProfileDaemon(daemon_config(), store=store)
-        assert daemon.aggregator.ingest_text(doc_text(0))
+        tenant = daemon.registry.default
+        assert tenant.aggregator.ingest_text(doc_text(0))
         locked_during = []
-        original = daemon.aggregator.snapshot
+        original = tenant.aggregator.snapshot
 
         def spy():
-            locked_during.append(daemon.agg_lock.locked())
+            locked_during.append(tenant.lock.locked())
             return original()
 
-        daemon.aggregator.snapshot = spy
-        daemon.snapshot()
+        tenant.aggregator.snapshot = spy
+        tenant.snapshot()
         assert locked_during == [True]
 
     def test_concurrent_ingest_and_snapshot_never_500(self, tmp_path):
@@ -1208,24 +1210,6 @@ class TestCrashDurability:
                     "duplicates"] == 1
 
 
-class TestDeprecatedShims:
-    def test_flat_client_methods_warn_and_delegate(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "store"))
-        with start_daemon_thread(daemon_config(), store=store) as handle:
-            with DaemonClient.for_daemon(handle) as client:
-                texts = [doc_text(i) for i in range(3)]
-                with pytest.deprecated_call():
-                    status, body = client.post_profiles(texts)
-                assert status == 200 and body["folded"] == 3
-                with pytest.deprecated_call():
-                    status, snap = client.snapshot()
-                assert status == 200
-                assert snap["tenant"] == f"{BENCH}/{INPUT}"
-                with pytest.deprecated_call():
-                    status, _ = client.repack()
-                assert status == 200
-
-
 class TestCliSurface:
     def _server_args(self, *argv):
         from repro.cli import build_parser
@@ -1244,19 +1228,22 @@ class TestCliSurface:
         assert config.shard_size == 1 and config.store is None
         assert config.tag == "server"
 
-    def test_serve_listen_forwards_with_fleet_flags(self):
+    def test_server_profiles_flag_sets_profiles_dir(self):
         from repro.cli import _server_config_from_args, build_parser
 
-        serve = build_parser().parse_args([
-            "serve", "--bench", "181.mcf/A", "--profiles", "p",
+        args = self._server_args(
+            "server", "--bench", "181.mcf/A", "--profiles", "p",
             "--listen", "0.0.0.0:0",
-        ])
-        serve.pipeline = None
-        assert serve.listen == "0.0.0.0:0"
-        assert serve.shard_size == 1 and serve.store is None
-        config = _server_config_from_args(serve)
+        )
+        config = _server_config_from_args(args)
         assert (config.host, config.port) == ("0.0.0.0", 0)
         assert config.profiles_dir == "p"
+        # `repro server` is the only way to run the daemon.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "serve", "--bench", "181.mcf/A", "--profiles", "p",
+                "--listen", "0.0.0.0:0",
+            ])
 
     def test_server_config_file_with_flag_overrides(self, tmp_path):
         from repro.cli import _server_config_from_args

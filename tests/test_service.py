@@ -566,6 +566,10 @@ class TestFleetEndToEnd:
         assert warm["pack"]["phase_set"] == cold["pack"]["phase_set"]
         assert warm["merge"]["profile_digest"] == cold["merge"]["profile_digest"]
         assert warm["ingest"]["runs"] == FLEET_RUNS
+        # The streaming fold serve runs equals the batch oracle.
+        assert cold["merge"]["profile_digest"] == merge_runs(
+            ingest_dir(fleet_profiles)
+        ).digest()
 
     def test_pack_records_accepts_merged_consensus_records(
         self, fleet_profiles
