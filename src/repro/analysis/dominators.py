@@ -89,12 +89,3 @@ class DominatorTree:
                 return True
             node = self.idom.get(node)
         return False
-
-    def dominators_of(self, label: str) -> List[str]:
-        """All dominators of ``label``, innermost first."""
-        result = []
-        node: Optional[str] = label
-        while node is not None:
-            result.append(node)
-            node = self.idom.get(node)
-        return result

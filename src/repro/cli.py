@@ -12,7 +12,6 @@ one benchmark input:
    python -m repro ablations
    python -m repro pack 134.perl B --scale 0.5
    python -m repro faults --seed 0 --trials 5 --jobs 4
-   python -m repro bench --quick --check benchmarks/results/baseline.json
    python -m repro trace pack 134.perl --export chrome
    python -m repro stats trace-pack.json
    python -m repro server --bench 181.mcf/A --listen 127.0.0.1:8080
@@ -491,18 +490,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import main_bench
-
-    return main_bench(
-        quick=args.quick,
-        out=args.out,
-        check=args.check,
-        threshold=args.threshold,
-        only=args.names or None,
-    )
-
-
 def _extract_trace_flags(rest: List[str]):
     """Pull ``--export``/``--trace-out`` out of a REMAINDER list.
 
@@ -882,23 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep trial state here (default: a temporary "
                             "directory)")
     chaos.set_defaults(func=_cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench",
-        help="pinned micro-benchmark suite (engine, detector, pipeline)",
-        parents=_parents("config", "out", "engine"),
-    )
-    bench.add_argument("names", nargs="*", metavar="NAME",
-                       help="run only these benchmarks (e.g. agg_scale; "
-                            "default: the whole suite)")
-    bench.add_argument("--quick", action="store_true",
-                       help="single repetitions + short campaign (CI smoke)")
-    bench.add_argument("--check", metavar="BASELINE",
-                       help="compare against a baseline JSON and fail on "
-                            "regression")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="allowed slowdown vs baseline (default 0.25)")
-    bench.set_defaults(func=_cmd_bench)
 
     trace = sub.add_parser(
         "trace",

@@ -108,10 +108,6 @@ class BehaviorModel:
             branch_uid, phase
         )
 
-    def known_branches(self) -> Dict[int, Dict[Optional[int], float]]:
-        """The configured bias table (read-only view for tooling)."""
-        return {uid: dict(phases) for uid, phases in self._bias.items()}
-
     def default_cold_branches(self) -> List[int]:
         """Branches whose only bias entry is a phase-independent 0.0.
 

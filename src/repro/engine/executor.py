@@ -249,9 +249,6 @@ class BlockExecutor:
             program
         )
 
-    def info_of(self, function: str, label: str) -> BlockInfo:
-        return self._infos[(function, label)]
-
     # -- execution ---------------------------------------------------------
     def run(self, start: Optional[Tuple[str, str]] = None) -> ExecutionSummary:
         """Run from ``start`` (default: program entry) until a limit/halt."""

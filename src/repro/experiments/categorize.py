@@ -81,10 +81,6 @@ class CategorizationRow:
     def name(self) -> str:
         return f"{self.benchmark} {self.input_name}"
 
-    def multi_opportunity(self) -> float:
-        """The paper's phase-customization opportunity: High + Low."""
-        return self.fractions["multi_high"] + self.fractions["multi_low"]
-
 
 @dataclass
 class CategorizationReport:

@@ -221,11 +221,6 @@ def document_from_dict(document: Dict) -> ProfileDocument:
     )
 
 
-def records_from_dict(document: Dict) -> List[HotSpotRecord]:
-    """Parse a document, returning just the records (meta dropped)."""
-    return document_from_dict(document).records
-
-
 def records_to_json(
     records: Iterable[HotSpotRecord], meta: Optional[Dict] = None
 ) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .registers import Reg
 
@@ -286,18 +286,3 @@ class Instruction:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def make_nop() -> Instruction:
-    return Instruction(Opcode.NOP)
-
-
-def branch_direction_arcs(inst: Instruction) -> Iterable[str]:
-    """Yield the arc kinds a control instruction can follow."""
-    if inst.is_conditional_branch:
-        yield "taken"
-        yield "fallthrough"
-    elif inst.opcode is Opcode.JUMP:
-        yield "taken"
-    elif inst.is_call:
-        yield "fallthrough"

@@ -53,14 +53,6 @@ class MachineDescription:
             return "branch"
         return "none"  # pseudo instructions occupy nothing
 
-    def units_of(self, unit_class: str) -> int:
-        return {
-            "ialu": self.ialu_units,
-            "fpu": self.fpu_units,
-            "mem": self.mem_units,
-            "branch": self.branch_units,
-        }.get(unit_class, 0)
-
     def latency(self, inst: Instruction) -> int:
         """Result latency of an instruction."""
         if inst.is_pseudo:

@@ -38,18 +38,6 @@ class PackageOptimizationReport:
 class OptimizationSummary:
     reports: List[PackageOptimizationReport] = field(default_factory=list)
 
-    @property
-    def total_sunk(self) -> int:
-        return sum(r.instructions_sunk for r in self.reports)
-
-    @property
-    def total_jumps_removed(self) -> int:
-        return sum(r.layout.jumps_removed for r in self.reports if r.layout)
-
-    @property
-    def total_inversions(self) -> int:
-        return sum(r.layout.branches_inverted for r in self.reports if r.layout)
-
 
 def region_taken_probabilities(regions: Iterable[HotRegion]) -> Dict[int, float]:
     """Branch origin uid -> recorded taken probability, across regions.

@@ -29,10 +29,6 @@ class Superblock:
     #: incremental cycle cost per member block, same order as labels
     member_cycles: List[int] = field(default_factory=list)
 
-    @property
-    def total_cycles(self) -> int:
-        return sum(self.member_cycles)
-
 
 def form_superblocks(blocks: Sequence[BasicBlock], entry_label: str) -> List[Superblock]:
     """Partition a laid-out block list into superblocks.

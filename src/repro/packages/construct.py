@@ -87,9 +87,6 @@ class PackagedProgramPlan:
             ordered.extend(group.packages)
         return ordered
 
-    def total_package_instructions(self) -> int:
-        return sum(package.static_size() for package in self.packages)
-
 
 def assemble_plan(
     per_region: Sequence[RegionPackages],

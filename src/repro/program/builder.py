@@ -17,7 +17,7 @@ through these helpers rather than constructing
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.registers import Reg
@@ -250,23 +250,3 @@ class ProgramBuilder:
         if validate:
             program.validate()
         return program
-
-
-def straightline_function(
-    name: str, body_lengths: Sequence[int], register_pool: Sequence[Reg]
-) -> Function:
-    """Small helper producing a function of fallthrough blocks of ALU ops.
-
-    Used by tests that need filler code with real data-flow.
-    """
-    fb = FunctionBuilder(name)
-    pool = list(register_pool)
-    if len(pool) < 2:
-        raise BuildError("need at least two registers")
-    for i, length in enumerate(body_lengths):
-        bb = fb.block(f"{name}_b{i}")
-        for j in range(length):
-            bb.addi(pool[j % len(pool)], pool[(j + 1) % len(pool)], j)
-    last = fb.block(f"{name}_ret")
-    last.ret()
-    return fb.build()

@@ -172,8 +172,3 @@ class ProgramImage:
         address = self.address_of(inst)
         patch_target_offset = address - self.base_address
         patch_target(self.data, patch_target_offset, new_address - self.base_address)
-
-    # -- printing ----------------------------------------------------------
-    def render_symbols(self) -> str:
-        lines = [f"{sym.address:#10x}  {sym.function}/{sym.label}" for sym in self.symbols]
-        return "\n".join(lines)

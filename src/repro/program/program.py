@@ -7,7 +7,7 @@ a *packed* program (original code + appended phase packages).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -76,9 +76,6 @@ class Program:
         """Total static instruction count (excluding pseudo ops)."""
         return sum(f.size() for f in self.functions.values())
 
-    def block_count(self) -> int:
-        return sum(len(f.blocks) for f in self.functions.values())
-
     def iter_blocks(self) -> Iterator[Tuple[Function, BasicBlock]]:
         for function in self.functions.values():
             for block in function.blocks:
@@ -88,14 +85,6 @@ class Program:
         for function, block in self.iter_blocks():
             for inst in block.instructions:
                 yield function, block, inst
-
-    def conditional_branches(self) -> List[Instruction]:
-        """All static conditional branches in the program."""
-        return [
-            inst
-            for _f, _b, inst in self.iter_instructions()
-            if inst.is_conditional_branch
-        ]
 
     # -- lookup indexes ---------------------------------------------------
     def block_index(self) -> Dict[int, Tuple[str, str]]:

@@ -8,7 +8,7 @@ subgraph and its call-graph slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.analysis.weights import WeightEstimate, estimate_weights
 from repro.hsd.records import HotSpotRecord
@@ -100,9 +100,6 @@ class HotRegion:
 
     def hot_block_count(self) -> int:
         return self.marking.hot_block_count()
-
-    def taken_probabilities(self, function_name: str) -> Dict[str, float]:
-        return dict(self.marking.marking(function_name).taken_prob)
 
     def estimate_weights(self, function_name: str) -> WeightEstimate:
         """Profile weights for a whole function from record probabilities.

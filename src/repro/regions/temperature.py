@@ -75,12 +75,6 @@ class FunctionMarking:
     def cold_blocks(self) -> List[str]:
         return [l for l, t in self.block_temp.items() if t is Temp.COLD]
 
-    def unknown_blocks(self) -> List[str]:
-        return [l for l, t in self.block_temp.items() if t is Temp.UNKNOWN]
-
-    def hot_arcs(self) -> List[ArcKey]:
-        return [k for k, t in self.arc_temp.items() if t is Temp.HOT]
-
     def block(self, label: str) -> Temp:
         return self.block_temp[label]
 

@@ -783,10 +783,6 @@ class DaemonHandle:
         assert self.daemon.port is not None
         return self.daemon.port
 
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.daemon.config.host}:{self.port}"
-
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful shutdown: drain, final checkpoint, join."""
         self.daemon.request_shutdown()

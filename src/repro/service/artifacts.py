@@ -166,9 +166,6 @@ class ArtifactStore:
         self._check_key(key)
         self.pinned.add(key)
 
-    def unpin(self, key: str) -> None:
-        self.pinned.discard(key)
-
     def _stamp_hit(self, key: str) -> None:
         """Record a read in the entry's ``.hits.json`` sidecar.
 

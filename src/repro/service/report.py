@@ -58,11 +58,12 @@ def batched_engine_section() -> Dict[str, int]:
     """Batched-engine counter totals (summed across kernel labels).
 
     ``{"rows": ..., "retired_rows": ..., "steps": ...}`` from this
-    process's metrics registry — all zero for a request served purely
-    from on-disk profiles, live counts when the fleet was simulated by
-    the batched engine (``repro ingest``/``drift``).  Deterministic
-    for a given request: row/step counts are part of the engine's
-    bit-identity contract, unlike wall-clock timings.
+    process's metrics registry: the batched-engine work this process
+    did (``repro ingest``/``drift``).  A client whose trace the trace
+    cache already holds runs no engine and adds nothing, so a request
+    served from on-disk profiles or a warm cache reads 0.  The counts
+    therefore depend on the cache's state and are not part of a
+    report's repeatable content.
     """
     from repro.obs import default_registry
     from repro.obs.metrics import series_name

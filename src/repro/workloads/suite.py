@@ -243,11 +243,3 @@ def load_benchmark(
     workload = build_workload(spec)
     workload.meta["entry"] = entry
     return workload
-
-
-def load_all(scale: Optional[float] = None) -> List[Workload]:
-    """Build the whole 19-input matrix."""
-    return [
-        load_benchmark(entry.benchmark, entry.input_name, scale)
-        for entry in SUITE
-    ]

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import glob
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from repro.workloads.synthetic import (
 )
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 KERNELS = ("scalar", "native")
@@ -250,7 +254,8 @@ def test_cli_engine_flag_normalized():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["bench", "--quick", "--engine", "BATCHED"]
+        ["ingest", "--bench", "181.mcf/A", "--out", "fleet",
+         "--engine", "BATCHED"]
     )
     assert args.engine == "batched"
 
@@ -286,11 +291,48 @@ def test_batched_counters_increment():
     assert total("engine.batched.steps") > 0
 
 
+#: One fleet of three clients; prints the batched rows this process ran.
+_FLEET_ROWS = """
+import sys
+from repro.service.clients import simulate_fleet
+simulate_fleet("181.mcf", "A", 3, sys.argv[1], base_seed=5, scale=0.1)
+from repro.obs import default_registry
+from repro.obs.metrics import series_name
+counters = default_registry().snapshot()["counters"]
+print(sum(v for k, v in counters.items()
+          if series_name(k) == "engine.batched.rows"))
+"""
+
+
+def test_batched_counters_skip_trace_cache_hits(tmp_path):
+    """The counters measure engine work this process did: an identical
+    fleet rerun against the same warm trace cache adds no rows.  Each
+    run is its own process, as two ``repro drift`` invocations are: a
+    rebuild in one process renumbers the uids the trace key hashes."""
+    env = dict(os.environ, REPRO_ENGINE="batched",
+               REPRO_TRACE_CACHE=str(tmp_path / "traces"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH", "")) if p
+    )
+
+    def rows(out):
+        result = subprocess.run(
+            [sys.executable, "-c", _FLEET_ROWS, str(tmp_path / out)],
+            env=env, capture_output=True, text=True, check=True,
+            timeout=300,
+        )
+        return int(result.stdout.split()[-1])
+
+    assert rows("cold") == 3
+    assert rows("warm") == 0
+    assert _fleet_bytes(tmp_path / "cold") == _fleet_bytes(tmp_path / "warm")
+
+
 # -- fleet layer --------------------------------------------------------
 
 def _fleet_bytes(directory):
     return {
-        os.path.basename(p): open(p, "rb").read()
+        os.path.basename(p): Path(p).read_bytes()
         for p in sorted(glob.glob(os.path.join(str(directory), "*.json")))
     }
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.service import (
+    ArtifactStore,
     ControllerConfig,
     DriftDetector,
     DriftSpec,
@@ -117,7 +118,13 @@ class TestDriftDetector:
 
 class TestControllerEndToEnd:
     @pytest.fixture(scope="class")
-    def report(self, tmp_path_factory):
+    def store(self, tmp_path_factory):
+        # A private store: the user's default store would leak artifacts
+        # out of the suite and, once warm, turn every re-pack into a hit.
+        return ArtifactStore(str(tmp_path_factory.mktemp("store")))
+
+    @pytest.fixture(scope="class")
+    def report(self, store, tmp_path_factory):
         config = ControllerConfig(
             benchmark=BENCH,
             input_name=INPUT,
@@ -128,7 +135,12 @@ class TestControllerEndToEnd:
             drift=DriftSpec(epoch=2, severity=0.5),
         )
         work = tmp_path_factory.mktemp("controller")
-        return run_controller(config, work, jobs=2)
+        return run_controller(config, work, jobs=2, store=store)
+
+    def test_repacks_pack_into_the_private_store(self, report, store):
+        farm = report.document["farm"]
+        assert farm["packed_shards"] > 0
+        assert farm["store_root"] == store.root
 
     def test_drift_is_detected_and_recovered(self, report):
         recovery = report.document["recovery"]
