@@ -18,13 +18,23 @@ the experiment scale, so this model charges (see DESIGN.md,
 
 Both binaries run under identical structures, so the measured speedup
 isolates the effects of packaging, layout, and rescheduling.
+
+Every :meth:`TimingSimulator.run` starts cold.  Under the compiled
+engine it replays the workload's cached branch trace through the C
+``timing_walk`` of :mod:`repro.engine.native`, which steps blocks like
+the reference interpreter and applies :meth:`TimingSimulator._on_block`
+and :meth:`TimingSimulator._on_branch` inline.  Those two hooks, driven
+by the reference interpreter, remain the model's definition and the
+walk's test oracle; they run whenever the walk cannot (see
+:meth:`TimingSimulator.run`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.engine.compiled import compile_program, compiled_enabled
 from repro.engine.executor import (
     KIND_BRANCH,
     KIND_CALL,
@@ -33,15 +43,27 @@ from repro.engine.executor import (
     BlockInfo,
     ExecutionSummary,
 )
+from repro.engine.native import TimingCounts, native_kernel
+from repro.engine.trace_cache import image_for, traced_run
+from repro.obs import inc
 from repro.optimize.machine import MachineDescription, TABLE2_MACHINE
-from repro.program.image import ProgramImage
 from repro.program.program import Program
 from repro.workloads.base import Workload
 
-from .branch_pred import BranchTargetBuffer, GsharePredictor, ReturnAddressStack
-from .caches import FetchHierarchy, MemoryHierarchyConfig
+from .branch_pred import (
+    BranchTargetBuffer,
+    GsharePredictor,
+    PredictorStats,
+    ReturnAddressStack,
+)
+from .caches import CacheStats, FetchHierarchy, MemoryHierarchyConfig
 
 _BTB_REDIRECT_PENALTY = 2
+#: Table 2's branch structures: gshare history bits, BTB entries and
+#: ways, RAS depth.
+_HISTORY_BITS = 10
+_BTB_ENTRIES, _BTB_WAYS = 1024, 4
+_RAS_DEPTH = 32
 
 
 @dataclass
@@ -65,6 +87,35 @@ class TimingResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
+def _timing_result(
+    counts,
+    summary: ExecutionSummary,
+    predictor: PredictorStats,
+    l1i: CacheStats,
+) -> TimingResult:
+    """``counts`` carries the six cycle tallies under the names the
+    hooks use: the simulator after a hook-driven run, or the walk's
+    :class:`~repro.engine.native.TimingCounts`."""
+    return TimingResult(
+        cycles=counts.cycles
+        + counts.mispredict_cycles
+        + counts.fetch_bubbles
+        + counts.icache_stalls
+        + counts.btb_redirects
+        + counts.ras_penalties,
+        instructions=summary.instructions,
+        branches=summary.branches,
+        mispredict_cycles=counts.mispredict_cycles,
+        fetch_bubble_cycles=counts.fetch_bubbles,
+        icache_stall_cycles=counts.icache_stalls,
+        btb_redirect_cycles=counts.btb_redirects,
+        ras_penalty_cycles=counts.ras_penalties,
+        summary=summary,
+        predictor_accuracy=predictor.accuracy,
+        icache_miss_rate=l1i.miss_rate,
+    )
+
+
 class TimingSimulator:
     """Runs a workload over one program and accumulates cycles."""
 
@@ -77,17 +128,14 @@ class TimingSimulator:
     ):
         self.program = program
         self.machine = machine
-        self.image = ProgramImage(program)
-        self.hierarchy = FetchHierarchy(hierarchy or MemoryHierarchyConfig())
-        self.predictor = GsharePredictor()
-        self.btb = BranchTargetBuffer()
-        self.ras = ReturnAddressStack()
+        self.hierarchy_config = hierarchy or MemoryHierarchyConfig()
+        image = image_for(program)
 
         # Per block uid: (cost, address, bytes, inverted-branch flag).
         self._static: Dict[int, Tuple[int, int, int, bool]] = {}
         for function in program.functions.values():
             for block in function.blocks:
-                address = self.image.block_address[(function.name, block.label)]
+                address = image.block_address[(function.name, block.label)]
                 size_bytes = block.size() * 8
                 self._static[block.uid] = (
                     block_costs.get(block.uid, 0),
@@ -96,9 +144,12 @@ class TimingSimulator:
                     bool(block.meta.get("branch_inverted")),
                 )
 
-        self._reset_counters()
-
-    def _reset_counters(self) -> None:
+    def _reset(self) -> None:
+        """Cold structures and zeroed counters for a hook-driven run."""
+        self.hierarchy = FetchHierarchy(self.hierarchy_config)
+        self.predictor = GsharePredictor(_HISTORY_BITS)
+        self.btb = BranchTargetBuffer(_BTB_ENTRIES, _BTB_WAYS)
+        self.ras = ReturnAddressStack(_RAS_DEPTH)
         self.cycles = 0
         self.mispredict_cycles = 0
         self.fetch_bubbles = 0
@@ -156,30 +207,52 @@ class TimingSimulator:
 
     # -- driving ---------------------------------------------------------
     def run(self, workload: Workload) -> TimingResult:
-        self._reset_counters()
+        """Time one run of ``workload`` over this program, from cold.
+
+        Takes the native walk whenever the compiled engine is on and
+        the kernel loads.  The hook-driven model runs instead under
+        ``REPRO_ENGINE=reference`` or ``REPRO_NATIVE=off``, without a
+        C compiler, and when the walk bails: the program leaves the
+        recorded branch stream (a mis-patched binary), or its stack
+        outgrows the kernel's cap.  Both give the same result.
+        """
+        walk = self._walk(workload) if compiled_enabled() else None
+        if walk is not None:
+            inc("cpu.timing.runs", path="native")
+            return _timing_result(
+                walk,
+                walk.summary,
+                PredictorStats(walk.predictions, walk.mispredictions),
+                CacheStats(walk.l1i_accesses, walk.l1i_misses),
+            )
+        inc("cpu.timing.runs", path="reference")
+        self._reset()
         summary = workload.run(
             program=self.program,
             block_hook=self._on_block,
             branch_hooks=[self._on_branch],
         )
-        total = (
-            self.cycles
-            + self.mispredict_cycles
-            + self.fetch_bubbles
-            + self.icache_stalls
-            + self.btb_redirects
-            + self.ras_penalties
+        return _timing_result(
+            self, summary, self.predictor.stats, self.hierarchy.l1i.stats
         )
-        return TimingResult(
-            cycles=total,
-            instructions=summary.instructions,
-            branches=summary.branches,
-            mispredict_cycles=self.mispredict_cycles,
-            fetch_bubble_cycles=self.fetch_bubbles,
-            icache_stall_cycles=self.icache_stalls,
-            btb_redirect_cycles=self.btb_redirects,
-            ras_penalty_cycles=self.ras_penalties,
-            summary=summary,
-            predictor_accuracy=self.predictor.stats.accuracy,
-            icache_miss_rate=self.hierarchy.l1i.stats.miss_rate,
+
+    def _walk(self, workload: Workload) -> Optional[TimingCounts]:
+        """The workload's recorded branch stream replayed through
+        ``timing_walk``; ``None`` when the kernel is unavailable or
+        bails."""
+        kernel = native_kernel()
+        if kernel is None:
+            return None
+        return kernel.timing_walk(
+            compile_program(self.program),
+            self._static,
+            traced_run(workload),
+            workload.limits,
+            self.machine,
+            self.hierarchy_config,
+            history_bits=_HISTORY_BITS,
+            btb_entries=_BTB_ENTRIES,
+            btb_ways=_BTB_WAYS,
+            ras_depth=_RAS_DEPTH,
+            btb_redirect=_BTB_REDIRECT_PENALTY,
         )

@@ -62,6 +62,7 @@ from repro.engine.executor import (
     ExecutionSummary,
     StopReason,
 )
+from repro.engine.native import flatten_ragged
 from repro.engine.phases import PhaseScript
 from repro.obs import annotate, inc, span
 from repro.program.program import Program
@@ -130,18 +131,6 @@ _ROW_TABLES: "WeakKeyDictionary[BehaviorModel, Dict[int, OutcomeTable]]" = (
 )
 
 
-def _flatten(tuples: Sequence[Tuple[int, ...]]):
-    """Ragged tuple-per-entry -> (offsets, counts, flat data) arrays."""
-    offsets = np.zeros(len(tuples), dtype=np.int32)
-    counts = np.zeros(len(tuples), dtype=np.int32)
-    data: List[int] = []
-    for k, tup in enumerate(tuples):
-        offsets[k] = len(data)
-        counts[k] = len(tup)
-        data.extend(tup)
-    return offsets, counts, np.asarray(data, dtype=np.int32)
-
-
 class BatchTables:
     """The compiled program's segment/fused tables as flat arrays.
 
@@ -179,9 +168,8 @@ class BatchTables:
         self.seg_instr = np.asarray(cp.seg_instr, dtype=np.int64)
         self.seg_steps = np.asarray(cp.seg_steps, dtype=np.int64)
         self.seg_calls = np.asarray(cp.seg_calls, dtype=np.int64)
-        self.seg_push_off, self.seg_push_cnt, self.seg_push_data = _flatten(
-            cp.seg_pushes
-        )
+        (self.seg_push_off, self.seg_push_cnt,
+         self.seg_push_data) = flatten_ragged(cp.seg_pushes)
 
         nk = 2 * n
         self.f_valid = np.zeros(nk, dtype=np.uint8)
@@ -221,8 +209,10 @@ class BatchTables:
                 f_pushes[key] = f[5]
                 self.fb_blocks[key] = f[0]
                 self.fb_counts[key] = f[1]
-        self.f_push_off, self.f_push_cnt, self.f_push_data = _flatten(f_pushes)
-        self.u_push_off, self.u_push_cnt, self.u_push_data = _flatten(u_pushes)
+        (self.f_push_off, self.f_push_cnt,
+         self.f_push_data) = flatten_ragged(f_pushes)
+        (self.u_push_off, self.u_push_cnt,
+         self.u_push_data) = flatten_ragged(u_pushes)
 
         self.branch_dense = np.asarray(cp.branch_dense, dtype=np.int32)
         self.ndense = len(cp.branch_uids)

@@ -1,27 +1,35 @@
-"""Runtime-compiled C kernel for the batched engine.
+"""Runtime-compiled C kernels: batched rows, the HSD stream, timing.
 
-The scalar kernel walks each row's fused transitions in Python,
-paying interpreter dispatch on every retired branch.  This module
-compiles a ~150-line C port of
-:meth:`repro.engine.compiled.CompiledExecutor._run_segments` with the
-*system* C compiler at first use — no new dependency, no build step —
-and drives it per row over the flat :class:`~repro.engine.batched.BatchTables`
-arrays via ctypes.
+One C source, compiled with the *system* C compiler at first use — no
+new dependency, no build step — and driven via ctypes over flat numpy
+arrays.  It holds three kernels:
 
-Bit-identity holds by construction: the C walk performs the identical
-sequence of integer ops (same splitmix64 mixer, same uint64 -> float64
-round-to-nearest conversion and exact power-of-two scale for the unit
-draw, same phase-cursor/step-guard/push ordering), and any situation
-the scalar engine treats specially — branchless cycles, step-guard
-crossings, stack growth beyond the preallocated cap — makes the kernel
-*bail* (negative return) so the caller reruns that row through
-:class:`~repro.engine.compiled.CompiledExecutor`.
+* ``run_row`` — a ~150-line port of
+  :meth:`repro.engine.compiled.CompiledExecutor._run_segments` that the
+  batched engine runs per row over the flat
+  :class:`~repro.engine.batched.BatchTables`;
+* ``hsd_stream`` — the Hot Spot Detector's branch-stream walk
+  (:mod:`repro.hsd.native`);
+* ``timing_walk`` — the Figure-10 timing model
+  (:class:`repro.cpu.timing.TimingSimulator`): a per-block walk that
+  replays a recorded branch stream and applies the gshare/BTB/RAS and
+  L1I/L2 model inline.
 
-Controls: ``REPRO_NATIVE=off`` disables the kernel entirely; any
-compile or load failure disables it for the process (the batched
-engine then runs every row through the scalar kernel).  Shared objects are cached under
+Bit-identity holds by construction: each kernel performs the identical
+sequence of integer ops as the Python it ports (same splitmix64 mixer,
+same uint64 -> float64 round-to-nearest conversion and exact
+power-of-two scale for the unit draw, same phase-cursor/step-guard/push
+ordering, same LRU ticks), and any situation it does not handle —
+branchless cycles, step-guard crossings, stack growth beyond the
+preallocated cap, a program that leaves the recorded stream — makes it
+*bail* (negative return) so the caller reruns through the exact Python
+path.
+
+Controls: ``REPRO_NATIVE=off`` disables the kernels entirely; any
+compile or load failure disables them for the process (every caller
+then takes its Python path).  Shared objects are cached under
 ``~/.cache/repro-native/`` (override: ``REPRO_NATIVE_CACHE``) keyed by
-source hash, so the one-time compile (~100 ms) is paid once per
+source hash, so the one-time compile (~300 ms) is paid once per
 machine, not per process.
 """
 
@@ -32,10 +40,12 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.compiled import CompiledProgram
+from repro.engine.executor import ExecutionLimits, ExecutionSummary, StopReason
 from repro.obs import inc, span
 
 _SOURCE = r"""
@@ -312,6 +322,187 @@ long hsd_stream(
     out[10] = alloc_counter;
     return 0;
 }
+
+/* One LRU set of `ways` slots at `base`: 1 on hit.  A miss fills an
+ * empty slot (tick 0) or evicts the least tick; ticks never repeat,
+ * so this matches the dict-of-ticks structures exactly. */
+static int lru_touch(int64_t *key, int64_t *tick, int64_t base,
+                     int64_t ways, int64_t k, int64_t now)
+{
+    for (int64_t w = 0; w < ways; w++) {
+        int64_t s = base + w;
+        if (tick[s] && key[s] == k) { tick[s] = now; return 1; }
+    }
+    int64_t victim = base;
+    for (int64_t w = 0; w < ways; w++) {
+        int64_t s = base + w;
+        if (!tick[s]) { victim = s; break; }
+        if (tick[s] < tick[victim]) victim = s;
+    }
+    key[victim] = k;
+    tick[victim] = now;
+    return 0;
+}
+
+/* Figure-10 timing walk (repro.cpu.timing.TimingSimulator.run): steps
+ * blocks exactly as repro.engine.executor.BlockExecutor.run does (kind
+ * numbering is the executor's KIND_*), takes each branch outcome from
+ * a recorded (branch uid, taken) stream, and applies the _on_block /
+ * _on_branch model inline: gshare, BTB, RAS and the L1I/L2 fetch
+ * hierarchy.  Stop codes index repro.engine.executor.StopReason:
+ * 0 halted, 1 branch limit, 2 instruction limit, 3 stack underflow,
+ * 4 step limit.  Returns 0; -1 when the program leaves the recorded
+ * stream (another branch uid at an event, or a different branch count
+ * or stop reason at the end); -2 when the continuation stack would
+ * outgrow stack_cap.  All state lives in caller-provided arrays. */
+long timing_walk(
+    const uint8_t *kind, const int64_t *size,
+    const int32_t *fall, const int32_t *target,
+    const int32_t *cont_off, const int32_t *cont_cnt,
+    const int32_t *cont_data, const int64_t *branch_uid,
+    const int64_t *cost, const int64_t *addr, const int64_t *nbytes,
+    const uint8_t *inverted,
+    const int64_t *ev_uid, const uint8_t *ev_taken, int64_t nev,
+    int64_t want_stop, int64_t entry,
+    int64_t max_branches, int64_t max_instructions, int64_t max_steps,
+    const int64_t *geo,
+    int32_t *stack, int64_t stack_cap,
+    uint8_t *pht, int64_t *btb_key, int64_t *btb_tick, int64_t *ras,
+    int64_t *l1_key, int64_t *l1_tick, int64_t *l2_key, int64_t *l2_tick,
+    int64_t *visits, int64_t *out)
+{
+    enum { FALL, BRANCH, JUMP, CALL, RET, HALT };
+    const int64_t resolution = geo[0], bubble = geo[1], redirect = geo[2];
+    const int64_t hmask = geo[3], btb_sets = geo[4], btb_ways = geo[5];
+    const int64_t ras_depth = geo[6], shift = geo[7];
+    const int64_t l1_sets = geo[8], l1_ways = geo[9];
+    const int64_t l2_sets = geo[10], l2_ways = geo[11];
+    const int64_t l2_latency = geo[12], mem_latency = geo[13];
+
+    int64_t i = entry, sp = 0, stop;
+    int64_t instructions = 0, branches = 0, taken_total = 0;
+    int64_t calls = 0, steps = 0;
+    int64_t cycles = 0, mispredict = 0, bubbles = 0, stalls = 0;
+    int64_t redirects = 0, ras_penalty = 0;
+    int64_t predictions = 0, mispredictions = 0;
+    int64_t l1_accesses = 0, l1_misses = 0;
+    int64_t history = 0, btb_now = 0, l1_now = 0, l2_now = 0;
+    int64_t ras_top = 0, ras_count = 0;
+    int64_t ret_pending = 0, ret_known = 0, ret_addr = 0;
+
+    for (;;) {
+        if (++steps > max_steps) { stop = 4; break; }
+        visits[i]++;
+        instructions += size[i];
+
+        /* _on_block: runs before the limit checks below */
+        int64_t a = addr[i], nb = nbytes[i];
+        if (ret_pending) {
+            if (!ret_known || ret_addr != a) ras_penalty += resolution;
+            ret_pending = 0;
+        }
+        cycles += cost[i];
+        if (nb > 0) {
+            int64_t last = (a + nb - 1) >> shift;
+            for (int64_t line = a >> shift; line <= last; line++) {
+                l1_accesses++;
+                if (lru_touch(l1_key, l1_tick, (line % l1_sets) * l1_ways,
+                              l1_ways, line, ++l1_now))
+                    continue;
+                l1_misses++;
+                stalls += lru_touch(l2_key, l2_tick,
+                                    (line % l2_sets) * l2_ways, l2_ways,
+                                    line, ++l2_now)
+                          ? l2_latency : mem_latency;
+            }
+        }
+        uint8_t k = kind[i];
+        int64_t tail = a + (nb > 8 ? nb - 8 : 0);   /* terminator address */
+        if (k == JUMP) {
+            bubbles += bubble;
+            if (!lru_touch(btb_key, btb_tick, ((tail >> 3) % btb_sets) * btb_ways,
+                           btb_ways, tail, ++btb_now))
+                redirects += redirect;
+        } else if (k == CALL) {
+            bubbles += bubble;
+            ras_top = (ras_top + 1) % ras_depth;    /* overflow drops oldest */
+            ras[ras_top] = a + nb;
+            if (ras_count < ras_depth) ras_count++;
+        } else if (k == RET) {
+            bubbles += bubble;
+            ret_pending = 1;
+            ret_known = ras_count > 0;              /* underflow: no address */
+            if (ret_known) {
+                ret_addr = ras[ras_top];
+                ras_top = (ras_top + ras_depth - 1) % ras_depth;
+                ras_count--;
+            }
+        }
+
+        if (instructions >= max_instructions) { stop = 2; break; }
+        if (k == BRANCH) {
+            if (branches >= max_branches) { stop = 1; break; }
+            if (branches >= nev || ev_uid[branches] != branch_uid[i])
+                return -1;
+            int64_t taken = ev_taken[branches];
+            branches++;
+            taken_total += taken;
+
+            /* _on_branch: gshare on the physical direction */
+            int64_t physical = taken != inverted[i];
+            int64_t idx = ((tail >> 3) ^ history) & hmask;
+            int64_t counter = pht[idx];
+            predictions++;
+            if (physical && counter < 3) pht[idx] = (uint8_t)(counter + 1);
+            else if (!physical && counter > 0) pht[idx] = (uint8_t)(counter - 1);
+            history = ((history << 1) | physical) & hmask;
+            if ((counter >= 2) != physical) {
+                mispredictions++;
+                mispredict += resolution;
+            } else if (physical) {
+                bubbles += bubble;
+                if (!lru_touch(btb_key, btb_tick,
+                               ((tail >> 3) % btb_sets) * btb_ways,
+                               btb_ways, tail, ++btb_now))
+                    redirects += redirect;
+            }
+
+            if (!taken) { i = fall[i]; continue; }
+        } else if (k == FALL) {
+            i = fall[i];
+            continue;
+        } else if (k == CALL) {
+            calls++;
+            if (sp >= stack_cap) return -2;
+            stack[sp++] = fall[i];
+            i = target[i];
+            continue;
+        } else if (k == RET) {
+            if (!sp) { stop = 3; break; }
+            i = stack[--sp];
+            continue;
+        } else if (k != JUMP) {
+            stop = 0;                               /* HALT */
+            break;
+        }
+        /* taken branch or jump: continuation pushes, then the target */
+        int32_t pc = cont_cnt[i];
+        if (pc) {
+            if (sp + pc > stack_cap) return -2;
+            const int32_t *pd = cont_data + cont_off[i];
+            for (int32_t q = 0; q < pc; q++) stack[sp++] = pd[q];
+        }
+        i = target[i];
+    }
+    if (branches != nev || stop != want_stop) return -1;
+    out[0] = instructions; out[1] = branches; out[2] = taken_total;
+    out[3] = calls; out[4] = steps; out[5] = stop;
+    out[6] = cycles; out[7] = mispredict; out[8] = bubbles;
+    out[9] = stalls; out[10] = redirects; out[11] = ras_penalty;
+    out[12] = predictions; out[13] = mispredictions;
+    out[14] = l1_accesses; out[15] = l1_misses;
+    return 0;
+}
 """
 
 #: Preallocated per-row continuation-stack slots; deeper recursion
@@ -323,6 +514,41 @@ _i64p = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _u8p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 _u64p = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _f64p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+
+
+#: ``timing_walk`` stop codes, in :class:`StopReason` order.
+_STOPS = tuple(StopReason)
+#: Stands in for an absent branch or instruction limit.
+_UNLIMITED = (1 << 63) - 1
+
+
+class TimingCounts(NamedTuple):
+    """One ``timing_walk`` run: the execution summary, then the tallies
+    the hook-driven model keeps on its ``TimingSimulator``."""
+
+    summary: ExecutionSummary
+    cycles: int
+    mispredict_cycles: int
+    fetch_bubbles: int
+    icache_stalls: int
+    btb_redirects: int
+    ras_penalties: int
+    predictions: int
+    mispredictions: int
+    l1i_accesses: int
+    l1i_misses: int
+
+
+def flatten_ragged(tuples: Sequence[Tuple[int, ...]]):
+    """Ragged tuple-per-entry -> (offsets, counts, flat data) arrays."""
+    offsets = np.zeros(len(tuples), dtype=np.int32)
+    counts = np.zeros(len(tuples), dtype=np.int32)
+    data: List[int] = []
+    for k, tup in enumerate(tuples):
+        offsets[k] = len(data)
+        counts[k] = len(tup)
+        data.extend(tup)
+    return offsets, counts, np.asarray(data, dtype=np.int32)
 
 
 class RowState:
@@ -338,7 +564,8 @@ class RowState:
 
 
 class NativeKernel:
-    """ctypes wrapper around the compiled ``run_row`` / ``hsd_stream``."""
+    """ctypes wrapper around the compiled ``run_row``, ``hsd_stream``
+    and ``timing_walk``."""
 
     def __init__(self, lib: ctypes.CDLL):
         hsd = lib.hsd_stream
@@ -375,6 +602,124 @@ class NativeKernel:
             _i64p, _i64p, _i64p,                        # counts, out
         ]
         self._run = fn
+        walk = lib.timing_walk
+        walk.restype = ctypes.c_long
+        walk.argtypes = [
+            _u8p, _i64p, _i32p, _i32p,                  # block graph
+            _i32p, _i32p, _i32p, _i64p,                 # conts, branch uids
+            _i64p, _i64p, _i64p, _u8p,                  # timing inputs
+            _i64p, _u8p, ctypes.c_int64,                # recorded stream
+            ctypes.c_int64, ctypes.c_int64,             # stop, entry
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # limits
+            _i64p,                                      # geometry
+            _i32p, ctypes.c_int64,                      # stack
+            _u8p, _i64p, _i64p, _i64p,                  # pht, btb, ras
+            _i64p, _i64p, _i64p, _i64p,                 # l1, l2
+            _i64p, _i64p,                               # visits, out
+        ]
+        self._timing_walk = walk
+
+    def timing_walk(
+        self,
+        cp: CompiledProgram,
+        static: Dict[int, Tuple[int, int, int, bool]],
+        trace,
+        limits: ExecutionLimits,
+        machine,
+        hierarchy,
+        *,
+        history_bits: int,
+        btb_entries: int,
+        btb_ways: int,
+        ras_depth: int,
+        btb_redirect: int,
+    ) -> Optional[TimingCounts]:
+        """One cold timing run of ``cp`` replaying ``trace`` (the
+        recorded ``uids`` / ``taken`` stream and its ``summary``).
+
+        ``static`` maps each block uid to its (cost, address, bytes,
+        inverted-branch flag); ``machine`` gives the branch-resolution
+        and taken-bubble penalties, ``hierarchy`` the fetch caches (a
+        :class:`~repro.cpu.caches.MemoryHierarchyConfig`), and the
+        keywords the gshare, BTB and RAS sizes and the BTB redirect
+        penalty.  ``None`` when the program leaves the stream or its
+        stack outgrows the cap (the caller reruns the hook model)."""
+        line = hierarchy.line_bytes
+        btb_sets = btb_entries // btb_ways
+        l1_sets = hierarchy.l1i_bytes // (line * hierarchy.l1i_ways)
+        l2_sets = hierarchy.l2_bytes // (line * hierarchy.l2_ways)
+        geometry = np.asarray(
+            [
+                machine.branch_resolution, machine.taken_bubble,
+                btb_redirect, (1 << history_bits) - 1,
+                btb_sets, btb_ways, ras_depth, line.bit_length() - 1,
+                l1_sets, hierarchy.l1i_ways, l2_sets, hierarchy.l2_ways,
+                hierarchy.l2_latency, hierarchy.memory_latency,
+            ],
+            dtype=np.int64,
+        )
+        columns = np.asarray(
+            [static[uid] for uid in cp.uid], dtype=np.int64
+        ).reshape(-1, 4)
+        cont_off, cont_cnt, cont_data = flatten_ragged(cp.conts)
+        branch_uid = np.asarray(
+            [cp.branch_uids[d] if d >= 0 else -1 for d in cp.branch_dense],
+            dtype=np.int64,
+        )
+
+        def slots(n: int) -> np.ndarray:
+            return np.zeros(n, dtype=np.int64)
+
+        btb = btb_sets * btb_ways
+        l1 = l1_sets * hierarchy.l1i_ways
+        l2 = l2_sets * hierarchy.l2_ways
+        visits = slots(len(cp.uid))
+        out = slots(16)  # six summary fields, then TimingCounts' ten
+        code = self._timing_walk(
+            np.asarray(cp.kind, dtype=np.uint8),
+            np.asarray(cp.size, dtype=np.int64),
+            np.asarray(cp.fall, dtype=np.int32),
+            np.asarray(cp.target, dtype=np.int32),
+            cont_off, cont_cnt, cont_data, branch_uid,
+            np.ascontiguousarray(columns[:, 0]),
+            np.ascontiguousarray(columns[:, 1]),
+            np.ascontiguousarray(columns[:, 2]),
+            columns[:, 3].astype(np.uint8),
+            np.ascontiguousarray(trace.uids, dtype=np.int64),
+            np.ascontiguousarray(trace.taken, dtype=np.uint8),
+            len(trace.uids),
+            _STOPS.index(trace.summary.stop_reason),
+            cp.entry_index,
+            _UNLIMITED if limits.max_branches is None
+            else limits.max_branches,
+            _UNLIMITED if limits.max_instructions is None
+            else limits.max_instructions,
+            limits.max_steps,
+            geometry,
+            np.zeros(_STACK_CAP, dtype=np.int32), _STACK_CAP,
+            # Cold structures: gshare counters weakly taken, as
+            # GsharePredictor starts; the BTB and caches as (key, tick)
+            # slots, where tick 0 marks an empty way; an empty RAS ring.
+            np.full(1 << history_bits, 2, dtype=np.uint8),
+            slots(btb), slots(btb), slots(ras_depth),
+            slots(l1), slots(l1), slots(l2), slots(l2),
+            visits, out,
+        )
+        if code != 0:
+            return None
+        counts = out.tolist()
+        summary = ExecutionSummary(
+            instructions=counts[0],
+            branches=counts[1],
+            taken_branches=counts[2],
+            calls=counts[3],
+            steps=counts[4],
+            stop_reason=_STOPS[counts[5]],
+            block_visits={
+                cp.uid[j]: n for j, n in enumerate(visits.tolist()) if n
+            },
+        )
+        return TimingCounts(summary, *counts[6:])
 
     def row_state(self, tables, max_branches: int) -> RowState:
         return RowState(tables.nblocks, tables.ndense, max_branches)
@@ -498,4 +843,11 @@ def native_kernel() -> Optional[NativeKernel]:
     return _KERNEL
 
 
-__all__ = ["NativeKernel", "RowState", "native_enabled", "native_kernel"]
+__all__ = [
+    "NativeKernel",
+    "RowState",
+    "TimingCounts",
+    "flatten_ragged",
+    "native_enabled",
+    "native_kernel",
+]

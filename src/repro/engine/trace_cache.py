@@ -145,18 +145,51 @@ def image_for(program: Program) -> ProgramImage:
 # fingerprints / keys
 # ---------------------------------------------------------------------------
 
-def behavior_fingerprint(behavior: BehaviorModel) -> bytes:
-    """Everything that determines branch outcomes."""
+_BRANCH_ROOTS: "WeakKeyDictionary[ProgramImage, Tuple[int, ...]]" = (
+    WeakKeyDictionary()
+)
+
+
+def _branch_roots(image: ProgramImage) -> Tuple[int, ...]:
+    """Behaviour uid (root origin) of each conditional branch in the
+    image, in address order; memoized per image."""
+    roots = _BRANCH_ROOTS.get(image)
+    if roots is None:
+        roots = tuple(
+            inst.root_origin()
+            for inst in image.address_instruction.values()
+            if inst.is_conditional_branch
+        )
+        _BRANCH_ROOTS[image] = roots
+    return roots
+
+
+def behavior_fingerprint(behavior: BehaviorModel, image: ProgramImage) -> bytes:
+    """Everything that determines the branch outcomes of a run over
+    ``image``, in image coordinates.
+
+    Per conditional branch in address order: the stable id outcomes
+    hash on and the branch's bias table.  Uids come from a
+    process-global counter, so a workload rebuilt in the same process
+    keys the same; only an unregistered branch, whose outcomes do hash
+    its raw uid, is keyed by it.
+    """
     parts = [
         f"default={behavior.default_prob!r}",
         f"seed={behavior.seed!r}",
     ]
-    for uid in sorted(behavior._stable_id):
-        parts.append(f"sid:{uid}={behavior._stable_id[uid]}")
-    for uid in sorted(behavior._bias):
-        table = behavior._bias[uid]
-        for phase in sorted(table, key=lambda p: (p is not None, p)):
-            parts.append(f"bias:{uid}:{phase}={table[phase]!r}")
+    stable_id = behavior._stable_id
+    bias = behavior._bias
+    for root in _branch_roots(image):
+        stable = stable_id.get(root)
+        head = f"uid:{root}" if stable is None else f"sid:{stable}"
+        table = bias.get(root)
+        if table:
+            head += "".join(
+                f" {phase}={table[phase]!r}"
+                for phase in sorted(table, key=lambda p: (p is not None, p))
+            )
+        parts.append(head)
     return "\n".join(parts).encode()
 
 
@@ -194,7 +227,7 @@ def trace_key(
             f"{symbol.function}/{symbol.label}@{symbol.address}".encode()
         )
     digest.update(image.program.entry.encode())
-    digest.update(behavior_fingerprint(behavior))
+    digest.update(behavior_fingerprint(behavior, image))
     digest.update(_script_fingerprint(phase_script))
     digest.update(_limits_fingerprint(limits))
     digest.update(repr(start).encode())

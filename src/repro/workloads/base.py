@@ -58,8 +58,10 @@ class Workload:
         """Run to the budget; equivalent under either engine.
 
         Uses the compiled trace engine (``REPRO_ENGINE=compiled``, the
-        default) unless a ``block_hook`` is requested — block-level
-        callbacks (the timing model) need the reference interpreter.
+        default) unless a ``block_hook`` is requested: block-level
+        callbacks need the reference interpreter.  The timing model
+        requests one only on its fallback path; its usual path replays
+        the cached trace through a C walk (:mod:`repro.cpu.timing`).
         """
         if kwargs.get("block_hook") is None and compiled_enabled():
             kwargs.pop("block_hook", None)

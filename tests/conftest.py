@@ -58,3 +58,52 @@ def diamond_function():
     from repro.isa.assembler import assemble_function
 
     return assemble_function(DIAMOND_FUNCTION_SRC)
+
+
+@pytest.fixture
+def timing_paths(monkeypatch):
+    """``run(program, costs, workload, hierarchy=None, expect="native",
+    **oracle_env)`` times one binary as configured and asserts, from the
+    ``cpu.timing.runs`` counter, that it took path ``expect``.  It then
+    times the binary again under ``oracle_env`` (default
+    ``REPRO_NATIVE=off``), which must take the hook-driven oracle, and
+    returns both :class:`~repro.cpu.timing.TimingResult` objects.
+
+    Where the native walk cannot run (no C compiler, ``REPRO_NATIVE=off``,
+    ``REPRO_ENGINE=reference``) the first run must take the oracle, and
+    it is returned twice: the caller's own assertions still run."""
+    from repro.cpu import TimingSimulator
+    from repro.engine.compiled import compiled_enabled
+    from repro.engine.native import native_kernel
+    from repro.obs.metrics import MetricsRegistry, swap_registry
+
+    def timed(program, costs, workload, hierarchy):
+        registry = MetricsRegistry()
+        previous = swap_registry(registry)
+        try:
+            simulator = TimingSimulator(program, costs, hierarchy=hierarchy)
+            result = simulator.run(workload)
+        finally:
+            swap_registry(previous)
+        paths = [
+            path for path in ("native", "reference")
+            if registry.counter("cpu.timing.runs", path=path)
+        ]
+        assert len(paths) == 1, paths
+        return result, paths[0]
+
+    def run(program, costs, workload, hierarchy=None, expect="native",
+            **oracle_env):
+        walkable = compiled_enabled() and native_kernel() is not None
+        result, path = timed(program, costs, workload, hierarchy)
+        assert path == (expect if walkable else "reference")
+        if not walkable:
+            return result, result
+        with monkeypatch.context() as patch:
+            for name, value in (oracle_env or {"REPRO_NATIVE": "off"}).items():
+                patch.setenv(name, value)
+            oracle, oracle_path = timed(program, costs, workload, hierarchy)
+        assert oracle_path == "reference"
+        return result, oracle
+
+    return run

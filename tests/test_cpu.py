@@ -1,5 +1,7 @@
 """Tests for the CPU timing substrate: predictors, caches, block timing."""
 
+import dataclasses
+
 import pytest
 
 from repro.cpu import (
@@ -12,9 +14,13 @@ from repro.cpu import (
     TimingSimulator,
 )
 from repro.engine import BehaviorModel, BlockExecutor, ExecutionLimits, PhaseScript
+from repro.engine.executor import StopReason
+from repro.engine.native import _STACK_CAP
 from repro.isa.assembler import assemble
 from repro.optimize import baseline_block_costs
+from repro.postlink.rewriter import clone_program
 from repro.workloads.base import Workload
+from repro.workloads.suite import load_benchmark
 
 
 class TestGshare:
@@ -158,6 +164,88 @@ def timing_workload():
     )
 
 
+def recursive_workload(depth: int) -> Workload:
+    """``rec`` calls itself ``depth`` times, then unwinds to a halt."""
+    program = assemble(
+        """
+        func main:
+          entry:
+            call rec
+          done:
+            halt
+        func rec:
+          top:
+            addi r1, r1, 1
+            brnz r1, deeper
+          base:
+            ret
+          deeper:
+            call rec
+          back:
+            ret
+        """
+    )
+    (uid,) = program.branch_block_index()
+    behavior = BehaviorModel(seed=5)
+    behavior.set_phase_biases(uid, {0: 1.0, 1: 0.0})
+    return Workload(
+        "recursion", program, behavior,
+        PhaseScript.from_pairs([(0, depth), (1, 1 << 20)]),
+        ExecutionLimits(max_branches=depth + 10),
+    )
+
+
+def underflow_workload() -> Workload:
+    """``main`` loops over a call, then returns with an empty stack."""
+    program = assemble(
+        """
+        func main:
+          entry:
+            movi r1, 0
+          loop:
+            addi r1, r1, 1
+            call work
+          cond:
+            brnz r2, loop
+          out:
+            ret
+        func work:
+          w0:
+            ret
+        """
+    )
+    (uid,) = program.branch_block_index()
+    behavior = BehaviorModel(seed=5)
+    behavior.set_bias(uid, 0.9)
+    return Workload(
+        "underflow", program, behavior,
+        PhaseScript.from_pairs([(0, 1 << 20)]),
+        ExecutionLimits(max_branches=2000),
+    )
+
+
+def btb_conflict_workload(sites: int = 6) -> Workload:
+    """A loop of ``sites`` 256-instruction blocks, each ending in a
+    taken transfer: the transfers sit 2 KB apart, so all of them share
+    one BTB set, more than its four ways."""
+    filler = "\n".join(["    add r4, r5, r6"] * 255)
+    blocks = [
+        f"  b{k}:\n{filler}\n    jump b{k + 1}" for k in range(sites - 1)
+    ]
+    blocks.append(f"  b{sites - 1}:\n{filler}\n    brnz r2, b0")
+    program = assemble(
+        "func main:\n" + "\n".join(blocks) + "\n  done:\n    halt\n"
+    )
+    (uid,) = program.branch_block_index()
+    behavior = BehaviorModel(seed=5)
+    behavior.set_bias(uid, 1.0)
+    return Workload(
+        "btb", program, behavior,
+        PhaseScript.from_pairs([(0, 1 << 20)]),
+        ExecutionLimits(max_branches=50),
+    )
+
+
 class TestTimingSimulator:
     def test_cycles_accumulate_components(self):
         workload = timing_workload()
@@ -200,7 +288,117 @@ class TestTimingSimulator:
         second = TimingSimulator(workload.program, costs).run(workload)
         assert first.cycles == second.cycles
 
-    def test_inverted_branch_direction_fed_to_predictor(self):
+    @pytest.mark.parametrize("native", ["auto", "off"])
+    def test_every_run_starts_cold(self, native, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", native)
+        workload = timing_workload()
+        costs = baseline_block_costs(workload.program)
+        simulator = TimingSimulator(workload.program, costs)
+        first = simulator.run(workload)
+        second = simulator.run(workload)
+        fresh = TimingSimulator(workload.program, costs).run(workload)
+        assert first == second == fresh
+
+    def test_native_walk_matches_the_hook_model(self, timing_paths):
+        workload = timing_workload()
+        costs = baseline_block_costs(workload.program)
+        walk, oracle = timing_paths(workload.program, costs, workload)
+        assert walk == oracle
+
+    def test_reference_engine_takes_the_hook_model(self, timing_paths):
+        workload = timing_workload()
+        costs = baseline_block_costs(workload.program)
+        walk, reference = timing_paths(
+            workload.program, costs, workload, REPRO_ENGINE="reference"
+        )
+        assert walk == reference
+
+    @pytest.mark.parametrize(
+        "limits,stop",
+        [
+            (ExecutionLimits(max_instructions=2501),
+             StopReason.INSTRUCTION_LIMIT),
+            (ExecutionLimits(max_branches=333), StopReason.BRANCH_LIMIT),
+            (ExecutionLimits(max_steps=1001), StopReason.STEP_LIMIT),
+        ],
+        ids=["instruction-limit", "branch-limit", "step-limit"],
+    )
+    def test_limited_run_matches_the_oracle(self, limits, stop, timing_paths):
+        # The hooks charge a block before the limit checks, so the
+        # last block of a limited run is charged on both paths.
+        workload = dataclasses.replace(timing_workload(), limits=limits)
+        costs = baseline_block_costs(workload.program)
+        walk, oracle = timing_paths(workload.program, costs, workload)
+        assert walk == oracle
+        assert walk.summary.stop_reason is stop
+
+    def test_stack_underflow_matches_the_oracle(self, timing_paths):
+        # The final RET pops the (empty) RAS before the run underflows.
+        workload = underflow_workload()
+        costs = baseline_block_costs(workload.program)
+        walk, oracle = timing_paths(workload.program, costs, workload)
+        assert walk == oracle
+        assert walk.summary.stop_reason is StopReason.STACK_UNDERFLOW
+
+    def test_run_ending_before_the_stream_takes_the_oracle(self, timing_paths):
+        # One more instruction per call: under the instruction limit the
+        # binary stops before the original run's last recorded branch,
+        # and the walk's end-of-stream check hands it to the oracle.
+        workload = dataclasses.replace(
+            timing_workload(), limits=ExecutionLimits(max_instructions=2501)
+        )
+        program = clone_program(workload.program)
+        body = program.functions["work"].blocks[0].instructions
+        body.insert(0, body[0].clone())
+        costs = baseline_block_costs(program)
+        walk, oracle = timing_paths(
+            program, costs, workload, expect="reference"
+        )
+        assert walk == oracle
+        assert walk.branches < workload.run().branches
+
+    def test_small_caches_and_btb_evict_like_the_oracle(self, timing_paths):
+        workload = dataclasses.replace(
+            load_benchmark("130.li", "B", scale=0.05),
+            limits=ExecutionLimits(max_branches=20_000),
+        )
+        costs = baseline_block_costs(workload.program)
+        tiny = MemoryHierarchyConfig(
+            l1i_bytes=1024, l2_bytes=4096, l1i_ways=2, l2_ways=4
+        )
+        walk, oracle = timing_paths(
+            workload.program, costs, workload, hierarchy=tiny
+        )
+        assert walk == oracle
+        assert walk.icache_miss_rate > 0.01
+        assert walk.btb_redirect_cycles > 0
+
+    def test_btb_set_conflicts_evict_the_least_recent(self, timing_paths):
+        workload = btb_conflict_workload()
+        costs = baseline_block_costs(workload.program)
+        walk, oracle = timing_paths(workload.program, costs, workload)
+        assert walk == oracle
+        # Six transfers cycle through four ways, so under LRU every
+        # taken transfer (one bubble each) misses the BTB.
+        assert walk.btb_redirect_cycles == 2 * walk.fetch_bubble_cycles
+
+    @pytest.mark.parametrize(
+        "depth,path",
+        [(100, "native"), (_STACK_CAP, "reference")],
+        ids=["ras-overflow", "past-the-stack-cap"],
+    )
+    def test_recursion_matches_the_oracle(self, depth, path, timing_paths):
+        workload = recursive_workload(depth)
+        costs = baseline_block_costs(workload.program)
+        walk, oracle = timing_paths(
+            workload.program, costs, workload, expect=path
+        )
+        assert walk == oracle
+        assert walk.summary.stop_reason is StopReason.HALTED
+        # Past 32 frames the RAS has dropped the oldest return addresses.
+        assert walk.ras_penalty_cycles > 0
+
+    def test_inverted_branch_direction_fed_to_predictor(self, timing_paths):
         # A physically inverted branch (hot path = fallthrough) must
         # train the predictor on the *physical* direction.  The
         # original branch is 100%-taken; after inversion it is
@@ -232,7 +430,8 @@ class TestTimingSimulator:
             ExecutionLimits(max_branches=2000),
         )
         costs = baseline_block_costs(program)
-        result = TimingSimulator(program, costs).run(workload)
+        result, oracle = timing_paths(program, costs, workload)
+        assert result == oracle
         assert result.summary.branches == 2000  # loops via the inversion
         assert result.predictor_accuracy > 0.95
         # Bubbles come only from the trampoline jump (1 per iteration).

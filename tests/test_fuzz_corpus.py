@@ -36,6 +36,8 @@ from repro.fuzz import (
     shrink_case,
 )
 from repro.api import PipelineConfig
+from repro.optimize import baseline_block_costs
+from repro.optimize.passes import packed_block_costs
 from repro.postlink import VacuumPacker, differential_check
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -60,6 +62,23 @@ def test_corpus_case_passes_oracle_stack(path):
             f"{os.path.basename(path)} signature drifted: "
             f"{stored} -> {list(report.signature)}"
         )
+
+
+@pytest.mark.parametrize(
+    "path", CORPUS_FILES, ids=[os.path.basename(p) for p in CORPUS_FILES]
+)
+def test_corpus_case_timing_matches_the_oracle(path, timing_paths):
+    """The native timing walk equals the hook-driven model on the
+    original and the packed binary of every corpus case."""
+    workload = load_case(path).workload
+    packed = VacuumPacker(PipelineConfig(validate=False)).pack(workload).packed
+    for program, costs in (
+        (workload.program, baseline_block_costs(workload.program)),
+        (packed.program,
+         packed_block_costs(packed.program, packed.package_names)),
+    ):
+        walk, oracle = timing_paths(program, costs, workload)
+        assert walk == oracle
 
 
 def test_sunk_work_is_accounted_not_flagged():
@@ -126,3 +145,16 @@ def test_shrunk_case_replays_from_json(tmp_path, shrunk_mispatch):
     assert replayed.config == shrunk.config
     assert replayed.reduction == shrunk.reduction
     assert not run_oracle_stack(replayed, mutate_packed=mispatch_launch).ok
+
+
+def test_mispatched_binary_is_timed_by_the_oracle(timing_paths):
+    """A mis-patched launch that leaves the recorded branch stream
+    makes the native walk bail; the hook-driven model times it."""
+    workload = load_case(os.path.join(CORPUS_DIR, "case03-seed3.json")).workload
+    packed = VacuumPacker(PipelineConfig(validate=False)).pack(workload).packed
+    broken = mispatch_launch(packed)
+    costs = packed_block_costs(broken.program, broken.package_names)
+    walk, oracle = timing_paths(
+        broken.program, costs, workload, expect="reference"
+    )
+    assert walk == oracle

@@ -104,6 +104,18 @@ class TestTimingIntegration:
             assert packed.fetch_bubble_cycles < base.fetch_bubble_cycles
 
 
+    def test_native_walk_matches_the_oracle(self, li_result, timing_paths):
+        workload = li_result.workload
+        packed = li_result.packed
+        for program, costs in (
+            (workload.program, baseline_block_costs(workload.program)),
+            (packed.program,
+             packed_block_costs(packed.program, packed.package_names)),
+        ):
+            walk, oracle = timing_paths(program, costs, workload)
+            assert walk == oracle
+
+
 class TestCrossBenchmark:
     def test_ijpeg_distinct_roots(self):
         workload = load_benchmark("132.ijpeg", "B", scale=SCALE)

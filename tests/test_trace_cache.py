@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.engine.compiled import CompiledExecutor
 from repro.engine.trace_cache import (
     _FORMAT_VERSION,
     TraceCache,
@@ -70,6 +71,41 @@ class TestHit:
         assert fresh.stats.hits == 1
         assert fresh.stats.puts == 0
         assert traces_equal(first, second)
+
+
+class TestRebuild:
+    """Keys are in image coordinates: a workload rebuilt in the same
+    process (new process-global uids) addresses the same entry."""
+
+    def test_rebuilt_workload_hits_the_same_entry(self, tmp_path):
+        cache = TraceCache(root=str(tmp_path))
+        first = build_workload(small_spec())
+        traced_run(first, cache=cache)
+        rebuilt = build_workload(small_spec())
+        assert set(rebuilt.behavior._stable_id).isdisjoint(
+            first.behavior._stable_id
+        )
+        trace = traced_run(rebuilt, cache=cache)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.puts) == (1, 1, 1)
+        assert len(list(tmp_path.glob("*.npz"))) == 1
+        computed = CompiledExecutor(
+            rebuilt.program,
+            rebuilt.behavior,
+            rebuilt.phase_script,
+            limits=rebuilt.limits,
+        ).run_traced()
+        assert traces_equal(trace, computed)
+
+    def test_bias_change_on_one_branch_still_misses(self, tmp_path):
+        cache = TraceCache(root=str(tmp_path))
+        traced_run(build_workload(small_spec()), cache=cache)
+        rebuilt = build_workload(small_spec())
+        uid = next(iter(rebuilt.program.branch_block_index()))
+        rebuilt.behavior.set_bias(uid, 0.123)
+        traced_run(rebuilt, cache=cache)
+        assert (cache.stats.hits, cache.stats.puts) == (0, 2)
+        assert len(list(tmp_path.glob("*.npz"))) == 2
 
 
 class TestInvalidation:
