@@ -12,7 +12,7 @@ charges that on a direction mispredict (and on RAS misses), and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 
@@ -20,8 +20,6 @@ from typing import Dict, List, Optional
 class PredictorStats:
     predictions: int = 0
     mispredictions: int = 0
-    btb_misses: int = 0
-    ras_mispredicts: int = 0
 
     @property
     def accuracy(self) -> float:

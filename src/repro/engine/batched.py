@@ -20,11 +20,15 @@ This module batches them:
     is available;
   - ``scalar`` — one :class:`CompiledExecutor` per row: the exactness
     fallback for hazards (instruction-limited budgets, step-guard
-    crossings, branchless cycles, stack overflow), for N=1, and for
-    every row when no C compiler exists.
+    crossings, branchless cycles, stack overflow), and for every row
+    when no C compiler exists.
 
-  Kernel choice: ``REPRO_BATCH_KERNEL`` = ``auto`` (default) | ``native``
-  | ``scalar``.
+  Kernel choice (:func:`pick_kernel`): ``REPRO_BATCH_KERNEL`` =
+  ``auto`` (default) | ``native`` | ``scalar``;
+* :func:`record_row` runs one recording — the trace cache's miss path
+  and the differential oracle's packed side — on the native kernel
+  with the same one-row plumbing, outside :class:`BatchedExecutor` and
+  its fleet-row counters.
 
 Equivalence is contractual, exactly as for the compiled engine:
 identical :class:`~repro.engine.executor.ExecutionSummary` fields and
@@ -62,7 +66,7 @@ from repro.engine.executor import (
     ExecutionSummary,
     StopReason,
 )
-from repro.engine.native import flatten_ragged
+from repro.engine.native import flatten_ragged, native_kernel, walk_tables_for
 from repro.engine.phases import PhaseScript
 from repro.obs import annotate, inc, span
 from repro.program.program import Program
@@ -218,15 +222,7 @@ class BatchTables:
         self.ndense = len(cp.branch_uids)
         self.branch_uids = np.asarray(cp.branch_uids, dtype=np.int64)
         #: branch origin uid per *block* (for log -> event stream).
-        self.block_buid = np.asarray(
-            [
-                cp.branch_uids[cp.branch_dense[b]]
-                if cp.branch_dense[b] >= 0
-                else -1
-                for b in range(n)
-            ],
-            dtype=np.int64,
-        )
+        self.block_buid = walk_tables_for(cp).branch_uid
         self.uid = cp.uid
         self.seg_blocks = cp.seg_blocks
         self.entry_index = cp.entry_index
@@ -320,7 +316,7 @@ class BatchedExecutor:
     def run_traced(self) -> BatchRun:
         """Run every row; bit-identical per-row traces + summaries."""
         n = len(self.seeds)
-        kernel = self._pick_kernel(n)
+        kernel = pick_kernel(self.limits)
         with span("engine.batched.run", rows=n, kernel=kernel) as entry:
             inc("engine.batched.rows", n, kernel=kernel)
             if kernel == "scalar":
@@ -339,40 +335,7 @@ class BatchedExecutor:
             annotate(entry, steps=steps, scalar_rows=len(run.scalar_rows))
         return run
 
-    # -- kernel selection ---------------------------------------------
-    def _pick_kernel(self, n: int) -> str:
-        choice = batch_kernel()
-        if choice not in ("auto", "native", "scalar"):
-            raise ValueError(f"unknown REPRO_BATCH_KERNEL {choice!r}")
-        if choice == "scalar" or n <= 1:
-            return "scalar"
-        # The native kernel shares limits across rows and pre-sizes the
-        # event log from max_branches; instruction-limited or unbounded
-        # budgets take the compiled engine's own exact paths per row.
-        if (
-            self.limits.max_instructions is not None
-            or self.limits.max_branches is None
-            or self.limits.max_branches > (1 << 26)
-        ):
-            return "scalar"
-        from repro.engine.native import native_kernel
-
-        if native_kernel() is not None:
-            return "native"
-        if choice == "native":
-            raise RuntimeError(
-                "REPRO_BATCH_KERNEL=native but no working C compiler; "
-                "unset it or use scalar"
-            )
-        return "scalar"
-
     # -- shared row plumbing ------------------------------------------
-    def _phase_arrays(self):
-        segments = self.phase_script.segments
-        sp = np.asarray([s.phase_id for s in segments], dtype=np.int64)
-        sl = np.asarray([s.branches for s in segments], dtype=np.int64)
-        return sp, sl
-
     def _row_prob(self, i: int, shared: np.ndarray) -> np.ndarray:
         if self.row_probs is not None and self.row_probs[i] is not None:
             return np.ascontiguousarray(self.row_probs[i], dtype=np.float64)
@@ -417,96 +380,133 @@ class BatchedExecutor:
         executor.run(collect_trace=True)
         return executor.last_trace
 
-    def _summary_from_counts(
-        self,
-        instr: int,
-        branches: int,
-        taken: int,
-        calls: int,
-        steps: int,
-        stop: int,
-        seg_cnt: np.ndarray,
-        fused_cnt_keys: np.ndarray,
-        fused_cnt_vals: np.ndarray,
-    ) -> ExecutionSummary:
-        tables = self.tables
-        visit_counts = np.zeros(tables.nblocks, dtype=np.int64)
-        for b in np.nonzero(seg_cnt)[0].tolist():
-            visit_counts[tables.seg_blocks[b]] += int(seg_cnt[b])
-        for key, count in zip(fused_cnt_keys.tolist(), fused_cnt_vals.tolist()):
-            visit_counts[tables.fb_blocks[key]] += (
-                tables.fb_counts[key] * int(count)
+    # -- native kernel ------------------------------------------------
+    def _run_native(self) -> BatchRun:
+        rows = _NativeRows(
+            self.tables, self.behavior, self.phase_script, self.limits
+        )
+        traces: List[TraceData] = []
+        scalar_rows: List[int] = []
+        for i, seed in enumerate(self.seeds):
+            trace = rows.run(seed, self._row_prob(i, rows.probs))
+            if trace is None:
+                scalar_rows.append(i)
+                trace = self._scalar_row(i)
+            traces.append(trace)
+        return BatchRun(traces=traces, kernel="native",
+                        scalar_rows=scalar_rows)
+
+
+def record_row(
+    program: Program,
+    behavior: BehaviorModel,
+    phase_script: PhaseScript,
+    limits: ExecutionLimits,
+) -> Optional[TraceData]:
+    """One run of ``program`` under ``behavior``'s own seed, computed
+    and recorded by the native kernel: a batch of one row, without
+    :class:`BatchedExecutor`, so no ``engine.batched`` counter (they
+    count fleet rows) sees it.
+
+    ``None`` when :func:`pick_kernel` picks ``scalar`` for ``limits``
+    or the row bails; the caller then records through
+    :meth:`CompiledExecutor.run_traced`, the result this equals.
+    """
+    if pick_kernel(limits) != "native":
+        return None
+    tables = batch_tables_for(compile_program(program))
+    rows = _NativeRows(tables, behavior, phase_script, limits)
+    return rows.run(behavior.seed, rows.probs)
+
+
+def pick_kernel(limits: ExecutionLimits) -> str:
+    """``native`` or ``scalar`` for rows run under ``limits``.
+
+    The native kernel shares limits across rows and pre-sizes the event
+    log from ``max_branches``; instruction-limited or unbounded budgets
+    take the compiled engine's own exact paths.  ``REPRO_BATCH_KERNEL``
+    (:func:`batch_kernel`) can force either kernel."""
+    choice = batch_kernel()
+    if choice not in ("auto", "native", "scalar"):
+        raise ValueError(f"unknown REPRO_BATCH_KERNEL {choice!r}")
+    if (
+        choice == "scalar"
+        or limits.max_instructions is not None
+        or limits.max_branches is None
+        or limits.max_branches > (1 << 26)
+    ):
+        return "scalar"
+    if native_kernel() is not None:
+        return "native"
+    if choice == "native":
+        raise RuntimeError(
+            "REPRO_BATCH_KERNEL=native but no working C compiler; "
+            "unset it or use scalar"
+        )
+    return "scalar"
+
+
+class _NativeRows:
+    """Rows of one program, behavior, phase script and limits on the
+    native kernel: the probability matrix, outcome hash keys, phase
+    arrays and scratch buffers every row shares, built once."""
+
+    def __init__(self, tables: BatchTables, behavior: BehaviorModel,
+                 phase_script: PhaseScript, limits: ExecutionLimits):
+        self.kernel = native_kernel()
+        self.tables = tables
+        segments = phase_script.segments
+        self.script_phase = np.asarray(
+            [s.phase_id for s in segments], dtype=np.int64
+        )
+        self.script_len = np.asarray(
+            [s.branches for s in segments], dtype=np.int64
+        )
+        self.probs = prob_matrix(behavior, tables, self.script_phase.tolist())
+        self.nphase = self.probs.shape[1] if self.probs.size else 1
+        self.stable_fnv = stable_fnv_for(behavior, tables)
+        self.max_branches = limits.max_branches
+        self.step_guard = limits.max_steps - 4 * tables.nblocks - _FUSE_PAD
+        self.state = self.kernel.row_state(tables, limits.max_branches)
+
+    def run(self, seed: int, probs: np.ndarray) -> Optional[TraceData]:
+        """One row; ``None`` when the kernel bails."""
+        tables, state = self.tables, self.state
+        result = self.kernel.run_row(
+            tables, state, self.stable_fnv, probs, self.nphase,
+            self.script_phase, self.script_len, seed & _MASK64,
+            self.max_branches, self.step_guard,
+        )
+        if result is None:
+            return None
+        instr, branches, taken, calls, steps, stop, nev = result
+        visits = np.zeros(tables.nblocks, dtype=np.int64)
+        for b in np.nonzero(state.seg_cnt)[0].tolist():
+            visits[tables.seg_blocks[b]] += int(state.seg_cnt[b])
+        for key in np.nonzero(state.fused_cnt)[0].tolist():
+            visits[tables.fb_blocks[key]] += (
+                tables.fb_counts[key] * int(state.fused_cnt[key])
             )
         uid = tables.uid
-        return ExecutionSummary(
-            instructions=int(instr),
-            branches=int(branches),
-            taken_branches=int(taken),
-            calls=int(calls),
-            steps=int(steps),
-            stop_reason=_STOP[int(stop)],
+        summary = ExecutionSummary(
+            instructions=instr,
+            branches=branches,
+            taken_branches=taken,
+            calls=calls,
+            steps=steps,
+            stop_reason=_STOP[stop],
             block_visits={
                 uid[j]: count
-                for j, count in enumerate(visit_counts.tolist())
+                for j, count in enumerate(visits.tolist())
                 if count
             },
         )
-
-    def _trace_from_log(self, log_row: np.ndarray, summary) -> TraceData:
-        tables = self.tables
+        log = state.log[:nev]
         return TraceData(
-            uids=tables.block_buid[log_row >> 1],
-            taken=(log_row & 1).astype(bool),
+            uids=tables.block_buid[log >> 1],
+            taken=(log & 1).astype(bool),
             summary=summary,
         )
-
-    # -- native kernel ------------------------------------------------
-    def _run_native(self) -> BatchRun:
-        from repro.engine.native import native_kernel
-
-        kernel = native_kernel()
-        tables = self.tables
-        sp, sl = self._phase_arrays()
-        shared_probs = prob_matrix(
-            self.behavior, tables, sp.tolist()
-        )
-        stable_fnv = stable_fnv_for(self.behavior, tables)
-        nphase = shared_probs.shape[1] if shared_probs.size else 1
-        max_branches = self.limits.max_branches
-        step_guard = (
-            self.limits.max_steps - 4 * tables.nblocks - _FUSE_PAD
-        )
-        traces: List[Optional[TraceData]] = [None] * len(self.seeds)
-        scalar_rows: List[int] = []
-        state = kernel.row_state(tables, max_branches)
-        for i, seed in enumerate(self.seeds):
-            probs = self._row_prob(i, shared_probs)
-            result = kernel.run_row(
-                tables,
-                state,
-                stable_fnv,
-                probs,
-                nphase,
-                sp,
-                sl,
-                seed & _MASK64,
-                max_branches,
-                step_guard,
-            )
-            if result is None:
-                scalar_rows.append(i)
-                traces[i] = self._scalar_row(i)
-                continue
-            instr, branches, taken, calls, steps, stop, nev = result
-            log_row = state.log[:nev].copy()
-            fused_keys = np.nonzero(state.fused_cnt)[0]
-            summary = self._summary_from_counts(
-                instr, branches, taken, calls, steps, stop,
-                state.seg_cnt, fused_keys, state.fused_cnt[fused_keys],
-            )
-            traces[i] = self._trace_from_log(log_row, summary)
-        return BatchRun(traces=traces, kernel="native",
-                        scalar_rows=scalar_rows)
 
 
 __all__ = [
@@ -515,7 +515,9 @@ __all__ = [
     "BatchedExecutor",
     "batch_kernel",
     "batch_tables_for",
+    "pick_kernel",
     "prob_matrix",
+    "record_row",
     "row_behavior",
     "stable_fnv_for",
 ]

@@ -1,19 +1,22 @@
-"""Runtime-compiled C kernels: batched rows, the HSD stream, timing.
+"""Runtime-compiled C kernels: recording, the HSD stream, replay.
 
 One C source, compiled with the *system* C compiler at first use — no
 new dependency, no build step — and driven via ctypes over flat numpy
 arrays.  It holds three kernels:
 
 * ``run_row`` — a ~150-line port of
-  :meth:`repro.engine.compiled.CompiledExecutor._run_segments` that the
-  batched engine runs per row over the flat
-  :class:`~repro.engine.batched.BatchTables`;
+  :meth:`repro.engine.compiled.CompiledExecutor._run_segments` over the
+  flat :class:`~repro.engine.batched.BatchTables`.  It computes and
+  records one run: each row of a fleet batch, and each single
+  recording behind :func:`repro.engine.trace_cache.traced_run`;
 * ``hsd_stream`` — the Hot Spot Detector's branch-stream walk
   (:mod:`repro.hsd.native`);
-* ``timing_walk`` — the Figure-10 timing model
-  (:class:`repro.cpu.timing.TimingSimulator`): a per-block walk that
-  replays a recorded branch stream and applies the gshare/BTB/RAS and
-  L1I/L2 model inline.
+* ``timing_walk`` — a per-block walk that replays a recorded branch
+  stream over a program's :class:`WalkTables`, checking the branch uid
+  at every event.  With its model on it is the Figure-10 timing model
+  (:class:`repro.cpu.timing.TimingSimulator`: gshare/BTB/RAS and
+  L1I/L2 inline); with it off it is coverage's run of a packed binary
+  (:func:`repro.postlink.coverage.measure_coverage`).
 
 Bit-identity holds by construction: each kernel performs the identical
 sequence of integer ops as the Python it ports (same splitmix64 mixer,
@@ -41,6 +44,7 @@ import os
 import subprocess
 import tempfile
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -349,27 +353,30 @@ static int lru_touch(int64_t *key, int64_t *tick, int64_t base,
  * numbering is the executor's KIND_*), takes each branch outcome from
  * a recorded (branch uid, taken) stream, and applies the _on_block /
  * _on_branch model inline: gshare, BTB, RAS and the L1I/L2 fetch
- * hierarchy.  Stop codes index repro.engine.executor.StopReason:
- * 0 halted, 1 branch limit, 2 instruction limit, 3 stack underflow,
- * 4 step limit.  Returns 0; -1 when the program leaves the recorded
- * stream (another branch uid at an event, or a different branch count
- * or stop reason at the end); -2 when the continuation stack would
- * outgrow stack_cap.  All state lives in caller-provided arrays. */
+ * hierarchy.  With timed == 0 it skips the model and never touches
+ * the per-block timing inputs or the predictor and cache state, for
+ * callers that need only the summary (repro.postlink.coverage).  Stop
+ * codes index repro.engine.executor.StopReason: 0 halted, 1 branch
+ * limit, 2 instruction limit, 3 stack underflow, 4 step limit.
+ * Returns 0; -1 when the program leaves the recorded stream (another
+ * branch uid at an event, or a different branch count or stop reason
+ * at the end); -2 when the continuation stack would outgrow
+ * stack_cap.  All state lives in caller-provided arrays. */
 long timing_walk(
     const uint8_t *kind, const int64_t *size,
     const int32_t *fall, const int32_t *target,
     const int32_t *cont_off, const int32_t *cont_cnt,
     const int32_t *cont_data, const int64_t *branch_uid,
-    const int64_t *cost, const int64_t *addr, const int64_t *nbytes,
-    const uint8_t *inverted,
     const int64_t *ev_uid, const uint8_t *ev_taken, int64_t nev,
     int64_t want_stop, int64_t entry,
     int64_t max_branches, int64_t max_instructions, int64_t max_steps,
-    const int64_t *geo,
     int32_t *stack, int64_t stack_cap,
+    int64_t *visits, int64_t *out,
+    int64_t timed,
+    const int64_t *cost, const int64_t *addr, const int64_t *nbytes,
+    const uint8_t *inverted, const int64_t *geo,
     uint8_t *pht, int64_t *btb_key, int64_t *btb_tick, int64_t *ras,
-    int64_t *l1_key, int64_t *l1_tick, int64_t *l2_key, int64_t *l2_tick,
-    int64_t *visits, int64_t *out)
+    int64_t *l1_key, int64_t *l1_tick, int64_t *l2_key, int64_t *l2_tick)
 {
     enum { FALL, BRANCH, JUMP, CALL, RET, HALT };
     const int64_t resolution = geo[0], bubble = geo[1], redirect = geo[2];
@@ -394,48 +401,52 @@ long timing_walk(
         if (++steps > max_steps) { stop = 4; break; }
         visits[i]++;
         instructions += size[i];
+        uint8_t k = kind[i];
+        int64_t tail = 0;                           /* terminator address */
 
         /* _on_block: runs before the limit checks below */
-        int64_t a = addr[i], nb = nbytes[i];
-        if (ret_pending) {
-            if (!ret_known || ret_addr != a) ras_penalty += resolution;
-            ret_pending = 0;
-        }
-        cycles += cost[i];
-        if (nb > 0) {
-            int64_t last = (a + nb - 1) >> shift;
-            for (int64_t line = a >> shift; line <= last; line++) {
-                l1_accesses++;
-                if (lru_touch(l1_key, l1_tick, (line % l1_sets) * l1_ways,
-                              l1_ways, line, ++l1_now))
-                    continue;
-                l1_misses++;
-                stalls += lru_touch(l2_key, l2_tick,
-                                    (line % l2_sets) * l2_ways, l2_ways,
-                                    line, ++l2_now)
-                          ? l2_latency : mem_latency;
+        if (timed) {
+            int64_t a = addr[i], nb = nbytes[i];
+            if (ret_pending) {
+                if (!ret_known || ret_addr != a) ras_penalty += resolution;
+                ret_pending = 0;
             }
-        }
-        uint8_t k = kind[i];
-        int64_t tail = a + (nb > 8 ? nb - 8 : 0);   /* terminator address */
-        if (k == JUMP) {
-            bubbles += bubble;
-            if (!lru_touch(btb_key, btb_tick, ((tail >> 3) % btb_sets) * btb_ways,
-                           btb_ways, tail, ++btb_now))
-                redirects += redirect;
-        } else if (k == CALL) {
-            bubbles += bubble;
-            ras_top = (ras_top + 1) % ras_depth;    /* overflow drops oldest */
-            ras[ras_top] = a + nb;
-            if (ras_count < ras_depth) ras_count++;
-        } else if (k == RET) {
-            bubbles += bubble;
-            ret_pending = 1;
-            ret_known = ras_count > 0;              /* underflow: no address */
-            if (ret_known) {
-                ret_addr = ras[ras_top];
-                ras_top = (ras_top + ras_depth - 1) % ras_depth;
-                ras_count--;
+            cycles += cost[i];
+            if (nb > 0) {
+                int64_t last = (a + nb - 1) >> shift;
+                for (int64_t line = a >> shift; line <= last; line++) {
+                    l1_accesses++;
+                    if (lru_touch(l1_key, l1_tick, (line % l1_sets) * l1_ways,
+                                  l1_ways, line, ++l1_now))
+                        continue;
+                    l1_misses++;
+                    stalls += lru_touch(l2_key, l2_tick,
+                                        (line % l2_sets) * l2_ways, l2_ways,
+                                        line, ++l2_now)
+                              ? l2_latency : mem_latency;
+                }
+            }
+            tail = a + (nb > 8 ? nb - 8 : 0);
+            if (k == JUMP) {
+                bubbles += bubble;
+                if (!lru_touch(btb_key, btb_tick,
+                               ((tail >> 3) % btb_sets) * btb_ways,
+                               btb_ways, tail, ++btb_now))
+                    redirects += redirect;
+            } else if (k == CALL) {
+                bubbles += bubble;
+                ras_top = (ras_top + 1) % ras_depth; /* overflow drops oldest */
+                ras[ras_top] = a + nb;
+                if (ras_count < ras_depth) ras_count++;
+            } else if (k == RET) {
+                bubbles += bubble;
+                ret_pending = 1;
+                ret_known = ras_count > 0;          /* underflow: no address */
+                if (ret_known) {
+                    ret_addr = ras[ras_top];
+                    ras_top = (ras_top + ras_depth - 1) % ras_depth;
+                    ras_count--;
+                }
             }
         }
 
@@ -449,22 +460,25 @@ long timing_walk(
             taken_total += taken;
 
             /* _on_branch: gshare on the physical direction */
-            int64_t physical = taken != inverted[i];
-            int64_t idx = ((tail >> 3) ^ history) & hmask;
-            int64_t counter = pht[idx];
-            predictions++;
-            if (physical && counter < 3) pht[idx] = (uint8_t)(counter + 1);
-            else if (!physical && counter > 0) pht[idx] = (uint8_t)(counter - 1);
-            history = ((history << 1) | physical) & hmask;
-            if ((counter >= 2) != physical) {
-                mispredictions++;
-                mispredict += resolution;
-            } else if (physical) {
-                bubbles += bubble;
-                if (!lru_touch(btb_key, btb_tick,
-                               ((tail >> 3) % btb_sets) * btb_ways,
-                               btb_ways, tail, ++btb_now))
-                    redirects += redirect;
+            if (timed) {
+                int64_t physical = taken != inverted[i];
+                int64_t idx = ((tail >> 3) ^ history) & hmask;
+                int64_t counter = pht[idx];
+                predictions++;
+                if (physical && counter < 3) pht[idx] = (uint8_t)(counter + 1);
+                else if (!physical && counter > 0)
+                    pht[idx] = (uint8_t)(counter - 1);
+                history = ((history << 1) | physical) & hmask;
+                if ((counter >= 2) != physical) {
+                    mispredictions++;
+                    mispredict += resolution;
+                } else if (physical) {
+                    bubbles += bubble;
+                    if (!lru_touch(btb_key, btb_tick,
+                                   ((tail >> 3) % btb_sets) * btb_ways,
+                                   btb_ways, tail, ++btb_now))
+                        redirects += redirect;
+                }
             }
 
             if (!taken) { i = fall[i]; continue; }
@@ -551,6 +565,48 @@ def flatten_ragged(tuples: Sequence[Tuple[int, ...]]):
     return offsets, counts, np.asarray(data, dtype=np.int32)
 
 
+class WalkTables:
+    """A compiled program's block graph as the flat arrays
+    ``timing_walk`` steps over; built once per program and shared by
+    the timing model and coverage (:func:`walk_tables_for`)."""
+
+    def __init__(self, cp: CompiledProgram):
+        self.kind = np.asarray(cp.kind, dtype=np.uint8)
+        self.size = np.asarray(cp.size, dtype=np.int64)
+        self.fall = np.asarray(cp.fall, dtype=np.int32)
+        self.target = np.asarray(cp.target, dtype=np.int32)
+        self.cont_off, self.cont_cnt, self.cont_data = flatten_ragged(cp.conts)
+        #: Branch origin uid per block (-1 for other kinds), checked
+        #: against the recorded stream at every branch event.
+        self.branch_uid = np.asarray(
+            [cp.branch_uids[d] if d >= 0 else -1 for d in cp.branch_dense],
+            dtype=np.int64,
+        )
+
+
+_WALK_TABLES: "WeakKeyDictionary[CompiledProgram, WalkTables]" = (
+    WeakKeyDictionary()
+)
+
+
+def walk_tables_for(cp: CompiledProgram) -> WalkTables:
+    tables = _WALK_TABLES.get(cp)
+    if tables is None:
+        tables = WalkTables(cp)
+        _WALK_TABLES[cp] = tables
+    return tables
+
+
+_UNUSED_I64 = np.zeros(1, dtype=np.int64)
+_UNUSED_U8 = np.zeros(1, dtype=np.uint8)
+#: ``timing_walk``'s arguments from ``timed`` on, for a run with the
+#: model off: a zero geometry, and placeholders the walk never reads.
+_UNTIMED = (
+    0, _UNUSED_I64, _UNUSED_I64, _UNUSED_I64, _UNUSED_U8,
+    np.zeros(14, dtype=np.int64), _UNUSED_U8,
+) + (_UNUSED_I64,) * 7
+
+
 class RowState:
     """Reusable per-row scratch buffers (zeroed before each row)."""
 
@@ -607,15 +663,16 @@ class NativeKernel:
         walk.argtypes = [
             _u8p, _i64p, _i32p, _i32p,                  # block graph
             _i32p, _i32p, _i32p, _i64p,                 # conts, branch uids
-            _i64p, _i64p, _i64p, _u8p,                  # timing inputs
             _i64p, _u8p, ctypes.c_int64,                # recorded stream
             ctypes.c_int64, ctypes.c_int64,             # stop, entry
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # limits
-            _i64p,                                      # geometry
             _i32p, ctypes.c_int64,                      # stack
+            _i64p, _i64p,                               # visits, out
+            ctypes.c_int64,                             # timed
+            _i64p, _i64p, _i64p, _u8p,                  # timing inputs
+            _i64p,                                      # geometry
             _u8p, _i64p, _i64p, _i64p,                  # pht, btb, ras
             _i64p, _i64p, _i64p, _i64p,                 # l1, l2
-            _i64p, _i64p,                               # visits, out
         ]
         self._timing_walk = walk
 
@@ -661,11 +718,6 @@ class NativeKernel:
         columns = np.asarray(
             [static[uid] for uid in cp.uid], dtype=np.int64
         ).reshape(-1, 4)
-        cont_off, cont_cnt, cont_data = flatten_ragged(cp.conts)
-        branch_uid = np.asarray(
-            [cp.branch_uids[d] if d >= 0 else -1 for d in cp.branch_dense],
-            dtype=np.int64,
-        )
 
         def slots(n: int) -> np.ndarray:
             return np.zeros(n, dtype=np.int64)
@@ -673,18 +725,48 @@ class NativeKernel:
         btb = btb_sets * btb_ways
         l1 = l1_sets * hierarchy.l1i_ways
         l2 = l2_sets * hierarchy.l2_ways
-        visits = slots(len(cp.uid))
-        out = slots(16)  # six summary fields, then TimingCounts' ten
-        code = self._timing_walk(
-            np.asarray(cp.kind, dtype=np.uint8),
-            np.asarray(cp.size, dtype=np.int64),
-            np.asarray(cp.fall, dtype=np.int32),
-            np.asarray(cp.target, dtype=np.int32),
-            cont_off, cont_cnt, cont_data, branch_uid,
+        counts = self._walk(
+            cp, trace, limits,
+            1,
             np.ascontiguousarray(columns[:, 0]),
             np.ascontiguousarray(columns[:, 1]),
             np.ascontiguousarray(columns[:, 2]),
             columns[:, 3].astype(np.uint8),
+            geometry,
+            # Cold structures: gshare counters weakly taken, as
+            # GsharePredictor starts; the BTB and caches as (key, tick)
+            # slots, where tick 0 marks an empty way; an empty RAS ring.
+            np.full(1 << history_bits, 2, dtype=np.uint8),
+            slots(btb), slots(btb), slots(ras_depth),
+            slots(l1), slots(l1), slots(l2), slots(l2),
+        )
+        if counts is None:
+            return None
+        summary, tallies = counts
+        return TimingCounts(summary, *tallies)
+
+    def replay(
+        self, cp: CompiledProgram, trace, limits: ExecutionLimits
+    ) -> Optional[ExecutionSummary]:
+        """The summary of ``cp`` replaying ``trace`` with the timing
+        model off: the walk's block stepping and stream checks alone.
+        ``None`` when the program leaves the stream or its stack
+        outgrows the cap (the caller reruns the compiled replay)."""
+        counts = self._walk(cp, trace, limits, *_UNTIMED)
+        return None if counts is None else counts[0]
+
+    def _walk(self, cp: CompiledProgram, trace, limits: ExecutionLimits,
+              *model) -> Optional[Tuple[ExecutionSummary, List[int]]]:
+        """``timing_walk`` over ``cp``'s shared :class:`WalkTables`;
+        ``model`` is the C function's arguments from ``timed`` on.
+        Returns the summary and the ten model tallies, or ``None``."""
+        tables = walk_tables_for(cp)
+        visits = np.zeros(len(cp.uid), dtype=np.int64)
+        out = np.zeros(16, dtype=np.int64)  # six summary fields, ten tallies
+        code = self._timing_walk(
+            tables.kind, tables.size, tables.fall, tables.target,
+            tables.cont_off, tables.cont_cnt, tables.cont_data,
+            tables.branch_uid,
             np.ascontiguousarray(trace.uids, dtype=np.int64),
             np.ascontiguousarray(trace.taken, dtype=np.uint8),
             len(trace.uids),
@@ -695,15 +777,9 @@ class NativeKernel:
             _UNLIMITED if limits.max_instructions is None
             else limits.max_instructions,
             limits.max_steps,
-            geometry,
             np.zeros(_STACK_CAP, dtype=np.int32), _STACK_CAP,
-            # Cold structures: gshare counters weakly taken, as
-            # GsharePredictor starts; the BTB and caches as (key, tick)
-            # slots, where tick 0 marks an empty way; an empty RAS ring.
-            np.full(1 << history_bits, 2, dtype=np.uint8),
-            slots(btb), slots(btb), slots(ras_depth),
-            slots(l1), slots(l1), slots(l2), slots(l2),
             visits, out,
+            *model,
         )
         if code != 0:
             return None
@@ -719,7 +795,7 @@ class NativeKernel:
                 cp.uid[j]: n for j, n in enumerate(visits.tolist()) if n
             },
         )
-        return TimingCounts(summary, *counts[6:])
+        return summary, counts[6:]
 
     def row_state(self, tables, max_branches: int) -> RowState:
         return RowState(tables.nblocks, tables.ndense, max_branches)
@@ -847,7 +923,9 @@ __all__ = [
     "NativeKernel",
     "RowState",
     "TimingCounts",
+    "WalkTables",
     "flatten_ragged",
     "native_enabled",
     "native_kernel",
+    "walk_tables_for",
 ]

@@ -43,6 +43,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.engine.batched import record_row
 from repro.engine.behavior import BehaviorModel
 from repro.engine.compiled import (
     CompiledExecutor,
@@ -506,17 +507,42 @@ def traced_run(
     if trace is not None:
         return trace
     with span("engine.traced_run", workload=workload.name) as entry:
-        executor = CompiledExecutor(
-            program,
-            workload.behavior,
-            workload.phase_script,
-            limits=workload.limits,
-        )
-        trace = executor.run_traced()
+        trace = record_trace(workload, program)
         annotate(entry, branches=trace.summary.branches,
                  instructions=trace.summary.instructions)
     inc("engine.simulated_branches", trace.summary.branches)
     cache.put(key, trace, program, image=image)
+    return trace
+
+
+def record_trace(workload, program: Optional[Program] = None) -> TraceData:
+    """Compute and record one run of the workload over ``program``
+    (default: the workload's own), outside the cache.
+
+    The native ``run_row`` kernel records it when the compiled engine
+    is on and :func:`~repro.engine.batched.record_row` accepts the
+    workload's limits; :meth:`CompiledExecutor.run_traced`, which it
+    equals, records it otherwise and whenever the kernel bails.  Both
+    compute every outcome and never replay.  Counter
+    ``engine.record.runs{path=native|compiled}``.
+    """
+    program = program or workload.program
+    trace = None
+    if compiled_enabled():
+        trace = record_row(
+            program, workload.behavior, workload.phase_script,
+            workload.limits,
+        )
+    path = "native"
+    if trace is None:
+        path = "compiled"
+        trace = CompiledExecutor(
+            program,
+            workload.behavior,
+            workload.phase_script,
+            limits=workload.limits,
+        ).run_traced()
+    inc("engine.record.runs", path=path)
     return trace
 
 
@@ -530,6 +556,7 @@ __all__ = [
     "default_cache",
     "fsync_dir",
     "image_for",
+    "record_trace",
     "reset_default_cache",
     "trace_key",
     "traced_run",

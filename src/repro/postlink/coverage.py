@@ -6,18 +6,28 @@ the packages."
 
 The packed program's conditional-branch stream is identical to the
 original run's (copies resolve behaviour through origin uids), so the
-coverage run simply re-executes the workload over the packed program
-and classifies dynamic instructions by the block they came from.
+coverage run replays the original run's recorded stream over the
+packed program — through the C ``timing_walk`` of
+:mod:`repro.engine.native` with its timing model off — and classifies
+dynamic instructions by the block they came from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.engine.compiled import ReplayDivergence, compiled_enabled, run_workload
+from repro.engine.compiled import (
+    ReplayDivergence,
+    compile_program,
+    compiled_enabled,
+    run_workload,
+)
 from repro.engine.executor import ExecutionSummary
+from repro.engine.native import native_kernel
 from repro.engine.trace_cache import traced_run
+from repro.obs import inc
+from repro.program.program import Program
 from repro.workloads.base import Workload
 
 from .rewriter import PackedProgram
@@ -142,18 +152,33 @@ def measure_coverage(workload: Workload, packed: PackedProgram) -> CoverageResul
     Under the compiled engine the packed run *replays* the original
     program's cached branch stream (identical by construction — copies
     resolve behaviour through origin uids) with per-event uid
-    verification, skipping outcome computation entirely.  A
-    :class:`ReplayDivergence` — a genuinely mis-rewritten program —
-    falls back to a computed run so the divergence surfaces through the
-    normal coverage/differential numbers rather than an engine error.
+    verification, skipping outcome computation entirely: through the
+    native walk when the kernel loads, else (and when the walk bails)
+    through the compiled engine.  A :class:`ReplayDivergence` — a
+    genuinely mis-rewritten program — falls back to a computed run so
+    the divergence surfaces through the normal coverage/differential
+    numbers rather than an engine error.  Counter
+    ``postlink.coverage.runs{path=native|compiled|computed}``.
     """
-    if compiled_enabled():
-        trace = traced_run(workload)
-        try:
-            summary = run_workload(workload, program=packed.program,
-                                   replay=trace)
-        except ReplayDivergence:
-            summary = workload.run(program=packed.program)
-    else:
-        summary = workload.run(program=packed.program)
+    summary, path = _packed_run(workload, packed.program)
+    inc("postlink.coverage.runs", path=path)
     return classify_summary(packed, summary)
+
+
+def _packed_run(
+    workload: Workload, program: Program
+) -> Tuple[ExecutionSummary, str]:
+    if not compiled_enabled():
+        return workload.run(program=program), "computed"
+    trace = traced_run(workload)
+    kernel = native_kernel()
+    if kernel is not None:
+        summary = kernel.replay(
+            compile_program(program), trace, workload.limits
+        )
+        if summary is not None:
+            return summary, "native"
+    try:
+        return run_workload(workload, program=program, replay=trace), "compiled"
+    except ReplayDivergence:
+        return workload.run(program=program), "computed"

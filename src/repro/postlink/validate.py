@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.engine.compiled import compiled_enabled, run_workload
-from repro.engine.trace_cache import traced_run
+from repro.engine.compiled import compiled_enabled
+from repro.engine.trace_cache import record_trace, traced_run
 from repro.errors import DifferentialError, ValidationError
 from repro.isa.instructions import Opcode
 from repro.packages.construct import PackagedProgramPlan
@@ -560,17 +560,16 @@ def differential_check(
     report would be meaningful.
 
     Under the compiled engine the original side comes through the trace
-    cache, the packed side is *recomputed* (never replayed — replay
-    would assume the very stream equality this oracle checks), and the
-    digests are taken over the recorded arrays in bulk.
+    cache, the packed side is *recomputed* by the same recorder
+    (:func:`~repro.engine.trace_cache.record_trace`; never replayed —
+    replay would assume the very stream equality this oracle checks),
+    and the digests are taken over the recorded arrays in bulk.
     """
     report = DifferentialReport()
     if compiled_enabled():
         try:
             original_trace = traced_run(workload)
-            packed_trace = run_workload(
-                workload, program=packed.program, collect_trace=True
-            )
+            packed_trace = record_trace(workload, packed.program)
         except Exception as exc:
             report.error = f"{type(exc).__name__}: {exc}"
             return report

@@ -60,6 +60,22 @@ def diamond_function():
     return assemble_function(DIAMOND_FUNCTION_SRC)
 
 
+def one_path(counter, paths, call):
+    """``call()`` against a fresh metrics registry; returns its result
+    and the one label of ``paths`` whose ``counter{path=...}`` moved."""
+    from repro.obs.metrics import MetricsRegistry, swap_registry
+
+    registry = MetricsRegistry()
+    previous = swap_registry(registry)
+    try:
+        result = call()
+    finally:
+        swap_registry(previous)
+    taken = [path for path in paths if registry.counter(counter, path=path)]
+    assert len(taken) == 1, taken
+    return result, taken[0]
+
+
 @pytest.fixture
 def timing_paths(monkeypatch):
     """``run(program, costs, workload, hierarchy=None, expect="native",
@@ -75,22 +91,13 @@ def timing_paths(monkeypatch):
     from repro.cpu import TimingSimulator
     from repro.engine.compiled import compiled_enabled
     from repro.engine.native import native_kernel
-    from repro.obs.metrics import MetricsRegistry, swap_registry
 
     def timed(program, costs, workload, hierarchy):
-        registry = MetricsRegistry()
-        previous = swap_registry(registry)
-        try:
-            simulator = TimingSimulator(program, costs, hierarchy=hierarchy)
-            result = simulator.run(workload)
-        finally:
-            swap_registry(previous)
-        paths = [
-            path for path in ("native", "reference")
-            if registry.counter("cpu.timing.runs", path=path)
-        ]
-        assert len(paths) == 1, paths
-        return result, paths[0]
+        simulator = TimingSimulator(program, costs, hierarchy=hierarchy)
+        return one_path(
+            "cpu.timing.runs", ("native", "reference"),
+            lambda: simulator.run(workload),
+        )
 
     def run(program, costs, workload, hierarchy=None, expect="native",
             **oracle_env):
@@ -105,5 +112,84 @@ def timing_paths(monkeypatch):
             oracle, oracle_path = timed(program, costs, workload, hierarchy)
         assert oracle_path == "reference"
         return result, oracle
+
+    return run
+
+
+@pytest.fixture
+def record_paths():
+    """``run(workload, program=None, expect="native")`` records one run
+    through :func:`~repro.engine.trace_cache.record_trace` as configured
+    and asserts, from the ``engine.record.runs`` counter, that it took
+    path ``expect``; it returns that trace and the oracle's,
+    :meth:`~repro.engine.compiled.CompiledExecutor.run_traced`.
+
+    Where the native kernel cannot record (no C compiler,
+    ``REPRO_NATIVE=off``, ``REPRO_BATCH_KERNEL=scalar``,
+    ``REPRO_ENGINE=reference``) the path must be ``compiled``."""
+    from repro.engine.batched import batch_kernel
+    from repro.engine.compiled import CompiledExecutor, compiled_enabled
+    from repro.engine.native import native_kernel
+    from repro.engine.trace_cache import record_trace
+
+    def run(workload, program=None, expect="native"):
+        program = program or workload.program
+        native = (
+            compiled_enabled()
+            and batch_kernel() != "scalar"
+            and native_kernel() is not None
+        )
+        trace, path = one_path(
+            "engine.record.runs", ("native", "compiled"),
+            lambda: record_trace(workload, program),
+        )
+        assert path == (expect if native else "compiled")
+        oracle = CompiledExecutor(
+            program, workload.behavior, workload.phase_script,
+            limits=workload.limits,
+        ).run_traced()
+        return trace, oracle
+
+    return run
+
+
+@pytest.fixture
+def coverage_paths(monkeypatch):
+    """``run(workload, packed, expect="native", oracle="compiled")``
+    measures coverage as configured and asserts, from the
+    ``postlink.coverage.runs`` counter, that it took path ``expect``.
+    It then measures again under ``REPRO_NATIVE=off``, which must take
+    path ``oracle`` (the compiled replay, or the computed run for a
+    binary that leaves the recorded stream), and returns both
+    :class:`~repro.postlink.coverage.CoverageResult` objects.
+
+    Where the native walk cannot run the first measurement must take
+    ``oracle`` (``computed`` under ``REPRO_ENGINE=reference``), and it
+    is returned twice: the caller's own assertions still run."""
+    from repro.engine.compiled import compiled_enabled
+    from repro.engine.native import native_kernel
+    from repro.postlink.coverage import measure_coverage
+
+    paths = ("native", "compiled", "computed")
+
+    def measured(workload, packed):
+        return one_path(
+            "postlink.coverage.runs", paths,
+            lambda: measure_coverage(workload, packed),
+        )
+
+    def run(workload, packed, expect="native", oracle="compiled"):
+        if not compiled_enabled():
+            expect = oracle = "computed"
+        walkable = compiled_enabled() and native_kernel() is not None
+        result, path = measured(workload, packed)
+        assert path == (expect if walkable else oracle)
+        if not walkable:
+            return result, result
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NATIVE", "off")
+            reference, reference_path = measured(workload, packed)
+        assert reference_path == oracle
+        return result, reference
 
     return run

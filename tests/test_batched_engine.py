@@ -238,16 +238,14 @@ def test_unknown_batch_kernel_raises(monkeypatch):
         executor.run_traced()
 
 
-def test_single_run_falls_back_to_scalar():
+def test_single_row_runs_native():
+    """A one-client batch takes the native kernel wherever it loads and
+    equals the compiled run."""
     workload, _ = _hypo_workload(2, "sequence")
-    run = BatchedExecutor(
-        workload.program,
-        workload.behavior,
-        workload.phase_script,
-        seeds=[5],
-        limits=workload.limits,
-    ).run_traced()
-    assert run.kernel == "scalar"
+    run = assert_batch_matches(workload, seeds=[5])
+    native = native_kernel() is not None
+    assert run.kernel == ("native" if native else "scalar")
+    assert run.scalar_rows == ([] if native else [0])
 
 
 def test_cli_engine_flag_normalized():

@@ -20,6 +20,8 @@ shrink to a tiny program, and stay reproducible through a JSON
 round-trip.
 """
 
+import dataclasses
+import functools
 import glob
 import json
 import os
@@ -36,12 +38,23 @@ from repro.fuzz import (
     shrink_case,
 )
 from repro.api import PipelineConfig
+from repro.engine.native import _STACK_CAP
 from repro.optimize import baseline_block_costs
 from repro.optimize.passes import packed_block_costs
 from repro.postlink import VacuumPacker, differential_check
+from tests.test_cpu import recursive_workload
+from tests.test_trace_cache import recorded_alike
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+
+
+@functools.lru_cache(maxsize=None)
+def packed_case(path):
+    """A corpus case's workload and its packed binary (built once)."""
+    workload = load_case(path).workload
+    packed = VacuumPacker(PipelineConfig(validate=False)).pack(workload).packed
+    return workload, packed
 
 
 def test_corpus_is_populated():
@@ -70,8 +83,7 @@ def test_corpus_case_passes_oracle_stack(path):
 def test_corpus_case_timing_matches_the_oracle(path, timing_paths):
     """The native timing walk equals the hook-driven model on the
     original and the packed binary of every corpus case."""
-    workload = load_case(path).workload
-    packed = VacuumPacker(PipelineConfig(validate=False)).pack(workload).packed
+    workload, packed = packed_case(path)
     for program, costs in (
         (workload.program, baseline_block_costs(workload.program)),
         (packed.program,
@@ -79,6 +91,26 @@ def test_corpus_case_timing_matches_the_oracle(path, timing_paths):
     ):
         walk, oracle = timing_paths(program, costs, workload)
         assert walk == oracle
+
+
+@pytest.mark.parametrize(
+    "path", CORPUS_FILES, ids=[os.path.basename(p) for p in CORPUS_FILES]
+)
+def test_corpus_case_records_and_covers_like_the_oracle(
+    path, record_paths, coverage_paths
+):
+    """The native recorder equals the compiled engine, and the coverage
+    walk the compiled replay, on every corpus case: coverage over the
+    original binary (a pack without packages) and the packed one."""
+    workload, packed = packed_case(path)
+    trace, oracle = record_paths(workload)
+    assert recorded_alike(trace, oracle)
+    original = dataclasses.replace(
+        packed, program=workload.program, package_names=set()
+    )
+    for binary in (original, packed):
+        walk, replay = coverage_paths(workload, binary)
+        assert walk == replay
 
 
 def test_sunk_work_is_accounted_not_flagged():
@@ -158,3 +190,41 @@ def test_mispatched_binary_is_timed_by_the_oracle(timing_paths):
         broken.program, costs, workload, expect="reference"
     )
     assert walk == oracle
+
+
+def test_mispatched_binary_is_covered_by_the_computed_run(coverage_paths):
+    """The coverage walk and the compiled replay both reject a binary
+    that leaves the recorded stream; coverage computes its run."""
+    workload, packed = packed_case(os.path.join(CORPUS_DIR, "case03-seed3.json"))
+    broken = mispatch_launch(packed)
+    walk, oracle = coverage_paths(
+        workload, broken, expect="computed", oracle="computed"
+    )
+    assert walk == oracle
+
+
+def test_recursion_past_the_stack_cap_is_covered_by_the_compiled_replay(
+    coverage_paths,
+):
+    """A packed binary that recurses deeper than the walk's stack makes
+    the walk bail; the compiled replay, with no cap, covers it."""
+    workload = recursive_workload(2 * _STACK_CAP)
+    packed = VacuumPacker(PipelineConfig(validate=False)).pack(workload).packed
+    walk, replay = coverage_paths(workload, packed, expect="compiled")
+    assert walk == replay
+    assert walk.package_instructions > 0
+
+
+@pytest.mark.parametrize(
+    "name,value,path",
+    [("REPRO_NATIVE", "off", "compiled"),
+     ("REPRO_ENGINE", "reference", "computed")],
+)
+def test_switched_off_walk_covers_through_the_fallback(
+    name, value, path, coverage_paths, monkeypatch
+):
+    workload, packed = packed_case(os.path.join(CORPUS_DIR, "case03-seed3.json"))
+    walk, _ = coverage_paths(workload, packed)
+    monkeypatch.setenv(name, value)
+    fallback, _ = coverage_paths(workload, packed, expect=path, oracle=path)
+    assert fallback == walk

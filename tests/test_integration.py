@@ -6,6 +6,8 @@ at reduced scale, checking cross-cutting invariants rather than exact
 numbers.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cpu import TimingSimulator
@@ -114,6 +116,22 @@ class TestTimingIntegration:
         ):
             walk, oracle = timing_paths(program, costs, workload)
             assert walk == oracle
+
+    def test_coverage_walk_matches_the_compiled_replay(
+        self, li_result, coverage_paths
+    ):
+        workload = li_result.workload
+        packed = li_result.packed
+        # The original binary, classified as a pack without packages.
+        original = dataclasses.replace(
+            packed, program=workload.program, package_names=set()
+        )
+        walk, replay = coverage_paths(workload, original)
+        assert walk == replay
+        assert walk.package_instructions == 0
+        assert walk.branches == li_result.profile.summary.branches
+        walk, replay = coverage_paths(workload, packed)
+        assert walk == replay == li_result.coverage
 
 
 class TestCrossBenchmark:

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 
 from repro.engine.compiled import CompiledExecutor
+from repro.engine.executor import ExecutionLimits, StopReason
+from repro.engine.native import _STACK_CAP
 from repro.engine.trace_cache import (
     _FORMAT_VERSION,
     TraceCache,
+    record_trace,
     trace_key,
     traced_run,
 )
+from repro.obs.metrics import MetricsRegistry, series_name, swap_registry
+from repro.workloads.suite import SUITE, load_benchmark
 from repro.workloads.synthetic import MIN_PHASE_BRANCHES, SyntheticSpec, build_workload
+from tests.test_cpu import recursive_workload
 
 
 def small_spec(**overrides):
@@ -106,6 +112,77 @@ class TestRebuild:
         traced_run(rebuilt, cache=cache)
         assert (cache.stats.hits, cache.stats.puts) == (0, 2)
         assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
+def recorded_alike(trace, oracle):
+    """Equal branch uids, outcomes (dtypes included) and summaries."""
+    return (
+        trace.uids.dtype == oracle.uids.dtype
+        and trace.taken.dtype == oracle.taken.dtype
+        and np.array_equal(trace.uids, oracle.uids)
+        and np.array_equal(trace.taken, oracle.taken)
+        and trace.summary == oracle.summary
+    )
+
+
+class TestRecorder:
+    """``record_trace`` — the cache's miss path and the differential
+    oracle's packed side — records on the native ``run_row`` kernel and
+    equals :meth:`CompiledExecutor.run_traced`; every case the kernel
+    cannot take records through the compiled engine instead."""
+
+    @pytest.mark.parametrize(
+        "entry", SUITE, ids=[f"{e.benchmark}/{e.input_name}" for e in SUITE]
+    )
+    def test_suite_input_records_like_the_compiled_engine(
+        self, entry, record_paths
+    ):
+        workload = load_benchmark(entry.benchmark, entry.input_name)
+        trace, oracle = record_paths(workload)
+        assert recorded_alike(trace, oracle)
+
+    def test_instruction_limited_run_takes_the_compiled_engine(
+        self, workload, record_paths
+    ):
+        limited = replace(
+            workload, limits=ExecutionLimits(max_instructions=20_000)
+        )
+        trace, oracle = record_paths(limited, expect="compiled")
+        assert recorded_alike(trace, oracle)
+        assert trace.summary.stop_reason is StopReason.INSTRUCTION_LIMIT
+
+    def test_recursion_past_the_stack_cap_takes_the_compiled_engine(
+        self, record_paths
+    ):
+        workload = recursive_workload(_STACK_CAP)
+        trace, oracle = record_paths(workload, expect="compiled")
+        assert recorded_alike(trace, oracle)
+        assert trace.summary.calls > _STACK_CAP
+
+    def test_recordings_stay_out_of_the_fleet_row_counters(self, workload):
+        """``engine.batched.*`` counts fleet rows; a single recording on
+        the same kernel adds none."""
+        registry = MetricsRegistry()
+        previous = swap_registry(registry)
+        try:
+            record_trace(workload)
+        finally:
+            swap_registry(previous)
+        names = {series_name(key) for key in registry.snapshot()["counters"]}
+        assert "engine.record.runs" in names
+        assert not any(name.startswith("engine.batched.") for name in names)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("REPRO_NATIVE", "off"), ("REPRO_BATCH_KERNEL", "scalar"),
+         ("REPRO_ENGINE", "reference")],
+    )
+    def test_switched_off_kernel_takes_the_compiled_engine(
+        self, name, value, workload, record_paths, monkeypatch
+    ):
+        monkeypatch.setenv(name, value)
+        trace, oracle = record_paths(workload, expect="compiled")
+        assert recorded_alike(trace, oracle)
 
 
 class TestInvalidation:
