@@ -612,15 +612,6 @@ def _parents(*names: str) -> List[argparse.ArgumentParser]:
                               help="restrict to one input (repeatable)")
     registry["bench_filter"] = bench_filter
 
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--engine", default=None, type=_normalize_engine,
-                        choices=("batched", "compiled", "reference"),
-                        help="execution engine (sets REPRO_ENGINE): batched "
-                             "fleet rows (default; falls back to compiled "
-                             "for single runs), per-client compiled, or "
-                             "the reference interpreter")
-    registry["engine"] = engine
-
     # Shared by the one-shot fleet request (serve) and the daemon
     # (server), so both spell the packing knobs identically.
     fleet = argparse.ArgumentParser(add_help=False)
@@ -637,10 +628,6 @@ def _parents(*names: str) -> List[argparse.ArgumentParser]:
     registry["fleet"] = fleet
 
     return [registry[name] for name in names]
-
-
-def _normalize_engine(value: str) -> str:
-    return value.strip().lower()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -727,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser(
         "ingest",
         help="simulate a client fleet: N profiling runs -> profile docs",
-        parents=_parents("config", "scale", "engine"),
+        parents=_parents("config", "scale"),
     )
     ingest.add_argument("--bench", required=True, metavar="NAME/INPUT",
                         help="benchmark binary the fleet runs")
@@ -747,8 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="fleet request: ingest profiles -> merge -> sharded pack "
              "-> JSON report",
-        parents=_parents("config", "scale", "jobs", "out", "engine",
-                         "fleet"),
+        parents=_parents("config", "scale", "jobs", "out", "fleet"),
     )
     serve.add_argument("--profiles", required=True,
                        help="directory of client profile documents")
@@ -760,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
              "streaming NDJSON ingest routed per meta.benchmark, "
              "/tenants/<name>/{profiles,snapshot,repack}, /artifacts, "
              "dashboards, store GC",
-        parents=_parents("scale", "jobs", "engine"),
+        parents=_parents("scale", "jobs"),
     )
     server.add_argument("--config", metavar="SERVER.json", default=None,
                         help="ServerConfig document (repro.api."
@@ -799,8 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
         "drift",
         help="continuous re-optimization loop: simulate epochs, inject "
              "drift, detect decay, re-pack, measure time-to-recover",
-        parents=_parents("config", "scale", "jobs", "out", "verbose",
-                         "engine"),
+        parents=_parents("config", "scale", "jobs", "out", "verbose"),
     )
     drift.add_argument("--bench", required=True, metavar="NAME/INPUT",
                        help="benchmark binary the fleet runs")
@@ -845,8 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fleet chaos campaign: inject service-scale faults and "
              "check the farm self-heals to the fault-free pack",
-        parents=_parents("config", "scale", "jobs", "out", "verbose",
-                         "engine"),
+        parents=_parents("config", "scale", "jobs", "out", "verbose"),
     )
     chaos.add_argument("--bench", default="181.mcf/A", metavar="NAME/INPUT",
                        help="benchmark binary the fleet runs "
@@ -897,10 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "engine", None):
-        import os
-
-        os.environ["REPRO_ENGINE"] = args.engine
     # `repro server --config` is a ServerConfig document, parsed by the
     # command itself; everywhere else --config is a pipeline document.
     if getattr(args, "command", None) == "server":

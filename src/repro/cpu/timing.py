@@ -19,12 +19,12 @@ the experiment scale, so this model charges (see DESIGN.md,
 Both binaries run under identical structures, so the measured speedup
 isolates the effects of packaging, layout, and rescheduling.
 
-Every :meth:`TimingSimulator.run` starts cold.  Under the compiled
-engine it replays the workload's cached branch trace through the C
-``timing_walk`` of :mod:`repro.engine.native`, which steps blocks like
-the reference interpreter and applies :meth:`TimingSimulator._on_block`
-and :meth:`TimingSimulator._on_branch` inline.  Those two hooks, driven
-by the reference interpreter, remain the model's definition and the
+Every :meth:`TimingSimulator.run` starts cold.  It replays the
+workload's cached branch trace through the C ``timing_walk`` of
+:mod:`repro.engine.native`, which steps blocks like the reference
+interpreter and applies :meth:`TimingSimulator._on_block` and
+:meth:`TimingSimulator._on_branch` inline.  Those two hooks, driven by
+the reference interpreter, remain the model's definition and the
 walk's test oracle; they run whenever the walk cannot (see
 :meth:`TimingSimulator.run`).
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.engine.compiled import compile_program, compiled_enabled
+from repro.engine.compiled import compile_program
 from repro.engine.executor import (
     KIND_BRANCH,
     KIND_CALL,
@@ -209,14 +209,13 @@ class TimingSimulator:
     def run(self, workload: Workload) -> TimingResult:
         """Time one run of ``workload`` over this program, from cold.
 
-        Takes the native walk whenever the compiled engine is on and
-        the kernel loads.  The hook-driven model runs instead under
-        ``REPRO_ENGINE=reference`` or ``REPRO_NATIVE=off``, without a
-        C compiler, and when the walk bails: the program leaves the
-        recorded branch stream (a mis-patched binary), or its stack
-        outgrows the kernel's cap.  Both give the same result.
+        Takes the native walk whenever the kernel loads.  The
+        hook-driven model runs instead under ``REPRO_NATIVE=off``,
+        without a C compiler, and when the walk bails: the program
+        leaves the recorded branch stream (a mis-patched binary), or
+        its stack outgrows the kernel's cap.  Both give the same result.
         """
-        walk = self._walk(workload) if compiled_enabled() else None
+        walk = self._walk(workload)
         if walk is not None:
             inc("cpu.timing.runs", path="native")
             return _timing_result(

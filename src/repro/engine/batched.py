@@ -21,10 +21,8 @@ This module batches them:
   - ``scalar`` — one :class:`CompiledExecutor` per row: the exactness
     fallback for hazards (instruction-limited budgets, step-guard
     crossings, branchless cycles, stack overflow), and for every row
-    when no C compiler exists.
-
-  Kernel choice (:func:`pick_kernel`): ``REPRO_BATCH_KERNEL`` =
-  ``auto`` (default) | ``native`` | ``scalar``;
+    when the kernel cannot load (no C compiler, or
+    ``REPRO_NATIVE=off``, which makes it the native rows' oracle);
 * :func:`record_row` runs one recording — the trace cache's miss path
   and the differential oracle's packed side — on the native kernel
   with the same one-row plumbing, outside :class:`BatchedExecutor` and
@@ -39,7 +37,6 @@ divergent per-row behavior seeds over one binary
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -78,23 +75,6 @@ _FNV = 0x100000001B3
 _K_BRANCH, _K_RET, _K_HALT, _K_HAZARD = 0, 1, 2, 3
 
 _STOP = (StopReason.HALTED, StopReason.BRANCH_LIMIT, StopReason.STACK_UNDERFLOW)
-
-
-def batch_kernel() -> str:
-    """``REPRO_BATCH_KERNEL``: ``auto`` (default), ``native``, or
-    ``scalar``."""
-    return os.environ.get("REPRO_BATCH_KERNEL", "auto").strip().lower()
-
-
-def fleet_batching_enabled() -> bool:
-    """Whether fleet simulation advances clients through the batched
-    engine (the default).  ``REPRO_ENGINE=compiled`` or ``reference``
-    opts back into the sequential per-client path; ``batched`` (also
-    accepted by the ``--engine`` flag) requests it explicitly."""
-    engine = os.environ.get("REPRO_ENGINE")
-    if engine is None:
-        return True
-    return engine.strip().lower() == "batched"
 
 
 def row_behavior(base: BehaviorModel, seed: int) -> BehaviorModel:
@@ -424,26 +404,16 @@ def pick_kernel(limits: ExecutionLimits) -> str:
 
     The native kernel shares limits across rows and pre-sizes the event
     log from ``max_branches``; instruction-limited or unbounded budgets
-    take the compiled engine's own exact paths.  ``REPRO_BATCH_KERNEL``
-    (:func:`batch_kernel`) can force either kernel."""
-    choice = batch_kernel()
-    if choice not in ("auto", "native", "scalar"):
-        raise ValueError(f"unknown REPRO_BATCH_KERNEL {choice!r}")
+    take the compiled engine's own exact paths, as every row does when
+    the kernel cannot load."""
     if (
-        choice == "scalar"
-        or limits.max_instructions is not None
+        limits.max_instructions is not None
         or limits.max_branches is None
         or limits.max_branches > (1 << 26)
+        or native_kernel() is None
     ):
         return "scalar"
-    if native_kernel() is not None:
-        return "native"
-    if choice == "native":
-        raise RuntimeError(
-            "REPRO_BATCH_KERNEL=native but no working C compiler; "
-            "unset it or use scalar"
-        )
-    return "scalar"
+    return "native"
 
 
 class _NativeRows:
@@ -513,7 +483,6 @@ __all__ = [
     "BatchRun",
     "BatchTables",
     "BatchedExecutor",
-    "batch_kernel",
     "batch_tables_for",
     "pick_kernel",
     "prob_matrix",

@@ -29,7 +29,6 @@ asserts this property across the workload suite.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -62,16 +61,6 @@ _FNV = 0x100000001B3
 
 #: Initial per-branch outcome table size; doubles on demand.
 _UNIT_CHUNK = 512
-
-
-def default_engine() -> str:
-    """Engine selection: ``REPRO_ENGINE`` = ``compiled`` (default) or
-    ``reference``."""
-    return os.environ.get("REPRO_ENGINE", "compiled")
-
-
-def compiled_enabled() -> bool:
-    return default_engine() != "reference"
 
 
 def _vec_splitmix64(x: np.ndarray) -> np.ndarray:

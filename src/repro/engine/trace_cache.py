@@ -48,7 +48,6 @@ from repro.engine.behavior import BehaviorModel
 from repro.engine.compiled import (
     CompiledExecutor,
     TraceData,
-    compiled_enabled,
     program_signature,
 )
 from repro.engine.executor import ExecutionLimits, ExecutionSummary, StopReason
@@ -519,20 +518,17 @@ def record_trace(workload, program: Optional[Program] = None) -> TraceData:
     """Compute and record one run of the workload over ``program``
     (default: the workload's own), outside the cache.
 
-    The native ``run_row`` kernel records it when the compiled engine
-    is on and :func:`~repro.engine.batched.record_row` accepts the
-    workload's limits; :meth:`CompiledExecutor.run_traced`, which it
-    equals, records it otherwise and whenever the kernel bails.  Both
-    compute every outcome and never replay.  Counter
-    ``engine.record.runs{path=native|compiled}``.
+    The native ``run_row`` kernel records it when
+    :func:`~repro.engine.batched.record_row` accepts the workload's
+    limits; :meth:`CompiledExecutor.run_traced`, which it equals,
+    records it otherwise, whenever the kernel bails, and under
+    ``REPRO_NATIVE=off``.  Both compute every outcome and never replay.
+    Counter ``engine.record.runs{path=native|compiled}``.
     """
     program = program or workload.program
-    trace = None
-    if compiled_enabled():
-        trace = record_row(
-            program, workload.behavior, workload.phase_script,
-            workload.limits,
-        )
+    trace = record_row(
+        program, workload.behavior, workload.phase_script, workload.limits
+    )
     path = "native"
     if trace is None:
         path = "compiled"
@@ -552,7 +548,6 @@ __all__ = [
     "TraceCache",
     "atomic_write",
     "behavior_fingerprint",
-    "compiled_enabled",
     "default_cache",
     "fsync_dir",
     "image_for",

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from repro.engine.compiled import (
     ReplayDivergence,
     compile_program,
-    compiled_enabled,
     run_workload,
 )
 from repro.engine.executor import ExecutionSummary
@@ -149,15 +148,15 @@ def project_coverage(
 def measure_coverage(workload: Workload, packed: PackedProgram) -> CoverageResult:
     """Run the workload over the packed program and classify it.
 
-    Under the compiled engine the packed run *replays* the original
-    program's cached branch stream (identical by construction — copies
-    resolve behaviour through origin uids) with per-event uid
-    verification, skipping outcome computation entirely: through the
-    native walk when the kernel loads, else (and when the walk bails)
-    through the compiled engine.  A :class:`ReplayDivergence` — a
-    genuinely mis-rewritten program — falls back to a computed run so
-    the divergence surfaces through the normal coverage/differential
-    numbers rather than an engine error.  Counter
+    The packed run *replays* the original program's cached branch
+    stream (identical by construction — copies resolve behaviour
+    through origin uids) with per-event uid verification, skipping
+    outcome computation entirely: through the native walk when the
+    kernel loads, else (and when the walk bails) through the compiled
+    engine.  A :class:`ReplayDivergence` — a genuinely mis-rewritten
+    program — falls back to a computed run so the divergence surfaces
+    through the normal coverage/differential numbers rather than an
+    engine error.  Counter
     ``postlink.coverage.runs{path=native|compiled|computed}``.
     """
     summary, path = _packed_run(workload, packed.program)
@@ -168,8 +167,6 @@ def measure_coverage(workload: Workload, packed: PackedProgram) -> CoverageResul
 def _packed_run(
     workload: Workload, program: Program
 ) -> Tuple[ExecutionSummary, str]:
-    if not compiled_enabled():
-        return workload.run(program=program), "computed"
     trace = traced_run(workload)
     kernel = native_kernel()
     if kernel is not None:

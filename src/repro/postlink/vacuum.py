@@ -47,7 +47,7 @@ from repro.obs import annotate, inc, observe, span
 
 from repro.engine.executor import ExecutionSummary
 from repro.engine.listeners import HSDListener
-from repro.engine.trace_cache import compiled_enabled, image_for, traced_run
+from repro.engine.trace_cache import image_for, traced_run
 from repro.errors import ProfileError, ReproError, RewriteError
 from repro.hsd.detector import HotSpotDetector
 from repro.hsd.records import HotSpotRecord
@@ -208,42 +208,12 @@ class VacuumPacker:
     def profile(self, workload: Workload) -> ProfileResult:
         """Run the workload under the Hot Spot Detector.
 
-        With the compiled engine (the default) the retired-branch trace
-        comes through the content-addressed trace cache and is fed to
-        the detector's chunked fast path; ``REPRO_ENGINE=reference``
-        keeps the original per-event interpreter plumbing.
+        The retired-branch trace comes through the content-addressed
+        trace cache (:func:`~repro.engine.trace_cache.traced_run`) and
+        is fed to the detector's stream fast path,
+        :meth:`~repro.engine.listeners.HSDListener.consume_trace`.
         """
-        started = time.perf_counter()
-        with span("pipeline.profile", workload=workload.name) as entry:
-            image = image_for(workload.program)
-            address_of = {
-                uid: address
-                for uid, address in image.instruction_address.items()
-            }
-            listener = HSDListener(
-                HotSpotDetector(self.hsd_config), address_of, self.similarity
-            )
-            if compiled_enabled():
-                trace = traced_run(workload)
-                listener.consume_trace(trace.uids, trace.taken)
-                summary = trace.summary
-            else:
-                summary = workload.run(branch_hooks=[listener])
-            annotate(
-                entry,
-                records=len(listener.unique_records),
-                raw_detections=listener.raw_detections,
-                branches=summary.branches,
-            )
-        observe("pipeline.stage.seconds", time.perf_counter() - started,
-                stage="profile")
-        inc("pipeline.phases_detected", len(listener.unique_records))
-        return ProfileResult(
-            records=listener.unique_records,
-            raw_detections=listener.raw_detections,
-            summary=summary,
-            image=image,
-        )
+        return self._profile(workload, None, None)
 
     def profile_trace(
         self,
@@ -260,6 +230,11 @@ class VacuumPacker:
         engine run is skipped.  Pass ``image`` to share the linked
         image across rows instead of re-deriving it per client.
         """
+        return self._profile(workload, trace, image)
+
+    def _profile(
+        self, workload: Workload, trace, image: Optional[ProgramImage]
+    ) -> ProfileResult:
         started = time.perf_counter()
         with span("pipeline.profile", workload=workload.name) as entry:
             image = image or image_for(workload.program)
@@ -270,6 +245,8 @@ class VacuumPacker:
             listener = HSDListener(
                 HotSpotDetector(self.hsd_config), address_of, self.similarity
             )
+            if trace is None:
+                trace = traced_run(workload)
             listener.consume_trace(trace.uids, trace.taken)
             summary = trace.summary
             annotate(

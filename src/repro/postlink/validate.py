@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.engine.compiled import compiled_enabled
 from repro.engine.trace_cache import record_trace, traced_run
 from repro.errors import DifferentialError, ValidationError
 from repro.isa.instructions import Opcode
@@ -559,49 +558,31 @@ def differential_check(
     execution prefixes and none of the comparisons in the returned
     report would be meaningful.
 
-    Under the compiled engine the original side comes through the trace
-    cache, the packed side is *recomputed* by the same recorder
+    The original side comes through the trace cache, the packed side
+    is *recomputed* by the same recorder
     (:func:`~repro.engine.trace_cache.record_trace`; never replayed —
     replay would assume the very stream equality this oracle checks),
     and the digests are taken over the recorded arrays in bulk.
     """
     report = DifferentialReport()
-    if compiled_enabled():
-        try:
-            original_trace = traced_run(workload)
-            packed_trace = record_trace(workload, packed.program)
-        except Exception as exc:
-            report.error = f"{type(exc).__name__}: {exc}"
-            return report
-        original_run = original_trace.summary
-        packed_run = packed_trace.summary
-        report.branches_original = len(original_trace)
-        report.branches_packed = len(packed_trace)
-        report.taken_original = original_run.taken_branches
-        report.taken_packed = packed_run.taken_branches
-        report.stream_digest_original = digest_stream_arrays(
-            original_trace.uids, original_trace.taken
-        )
-        report.stream_digest_packed = digest_stream_arrays(
-            packed_trace.uids, packed_trace.taken
-        )
-    else:
-        original_hash = _StreamHasher()
-        packed_hash = _StreamHasher()
-        try:
-            original_run = workload.run(branch_hooks=[original_hash])
-            packed_run = workload.run(
-                program=packed.program, branch_hooks=[packed_hash]
-            )
-        except Exception as exc:
-            report.error = f"{type(exc).__name__}: {exc}"
-            return report
-        report.branches_original = original_hash.events
-        report.branches_packed = packed_hash.events
-        report.taken_original = original_hash.taken
-        report.taken_packed = packed_hash.taken
-        report.stream_digest_original = original_hash.digest()
-        report.stream_digest_packed = packed_hash.digest()
+    try:
+        original_trace = traced_run(workload)
+        packed_trace = record_trace(workload, packed.program)
+    except Exception as exc:
+        report.error = f"{type(exc).__name__}: {exc}"
+        return report
+    original_run = original_trace.summary
+    packed_run = packed_trace.summary
+    report.branches_original = len(original_trace)
+    report.branches_packed = len(packed_trace)
+    report.taken_original = original_run.taken_branches
+    report.taken_packed = packed_run.taken_branches
+    report.stream_digest_original = digest_stream_arrays(
+        original_trace.uids, original_trace.taken
+    )
+    report.stream_digest_packed = digest_stream_arrays(
+        packed_trace.uids, packed_trace.taken
+    )
 
     report.work_original = retired_work_instructions(
         workload.program, original_run

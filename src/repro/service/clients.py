@@ -8,12 +8,11 @@ Table 1 benchmark program under a *divergent* branch-behavior seed
 its Hot Spot Detector profile as a v2 document with a provenance
 stamp (run id, seed, staleness epoch).
 
-By default the whole fleet advances through the batched engine
+The whole fleet advances through the batched engine
 (:mod:`repro.engine.batched`): the binary is built, compiled, and
-linked once, and the N client runs execute as N rows over the shared
-tables — bit-identical to the per-client path, which remains
-available via ``REPRO_ENGINE=compiled`` (or ``reference``) and is the
-automatic fallback whenever a ``mutate`` hook does something the
+linked once, and the N client runs execute as N rows over the
+shared tables — bit-identical to the per-client path, which runs a
+fleet of one and any fleet whose ``mutate`` hook does something the
 batch cannot express (see :func:`_batched_profiles`).
 
 Runs are spread uniformly over ``epochs`` staleness epochs so the
@@ -62,27 +61,22 @@ def _batched_profiles(
     runs the detector stage per row.  Bit-identical to the sequential
     path: same cache reads/writes, same records, same summaries.
 
-    Returns ``None`` — fall back to per-client runs — when batching is
-    disabled, ``runs <= 1``, or a ``mutate`` hook steps outside what
-    one shared binary can express: replacing the program/behavior/
-    script/limits objects, mutating program structure, or registering
-    different stable ids per client.
+    Returns ``None`` — fall back to per-client runs — when
+    ``runs <= 1`` or a ``mutate`` hook steps outside what one shared
+    binary can express: replacing the program/behavior/script/limits
+    objects, mutating program structure, or registering different
+    stable ids per client.
     """
     from repro.engine.batched import (
         BatchedExecutor,
         batch_tables_for,
-        fleet_batching_enabled,
         prob_matrix,
     )
-    from repro.engine.compiled import (
-        compile_program,
-        compiled_enabled,
-        program_signature,
-    )
+    from repro.engine.compiled import compile_program, program_signature
     from repro.engine.trace_cache import default_cache, image_for, trace_key
     from repro.obs import inc
 
-    if runs <= 1 or not fleet_batching_enabled() or not compiled_enabled():
+    if runs <= 1:
         return None
     workload = load_benchmark(benchmark, input_name, scale=scale)
     program = workload.program
@@ -181,10 +175,10 @@ def simulate_fleet(
     branch behavior in place before profiling, modelling a fleet whose
     dynamic control flow has moved away from the shipped profile.
 
-    The fleet advances through the batched engine by default
-    (build/compile/link once, one row per client); set
-    ``REPRO_ENGINE=compiled`` to force the original per-client loop.
-    Both paths write byte-identical documents.
+    The fleet advances through the batched engine (build/compile/link
+    once, one row per client) unless :func:`_batched_profiles` declines
+    it; the per-client loop that runs instead writes byte-identical
+    documents.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

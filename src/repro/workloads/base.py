@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.engine.behavior import BehaviorModel
-from repro.engine.compiled import CompiledExecutor, compiled_enabled
+from repro.engine.compiled import CompiledExecutor
 from repro.engine.executor import (
     BlockExecutor,
     ExecutionLimits,
@@ -57,13 +57,14 @@ class Workload:
     def run(self, program: Optional[Program] = None, **kwargs) -> ExecutionSummary:
         """Run to the budget; equivalent under either engine.
 
-        Uses the compiled trace engine (``REPRO_ENGINE=compiled``, the
-        default) unless a ``block_hook`` is requested: block-level
-        callbacks need the reference interpreter.  The timing model
-        requests one only on its fallback path; its usual path replays
-        the cached trace through a C walk (:mod:`repro.cpu.timing`).
+        Uses the compiled trace engine unless a ``block_hook`` is
+        requested: block-level callbacks need the reference interpreter
+        (:meth:`executor`, also the compiled engine's test oracle).
+        The timing model requests one only on its fallback path; its
+        usual path replays the cached trace through a C walk
+        (:mod:`repro.cpu.timing`).
         """
-        if kwargs.get("block_hook") is None and compiled_enabled():
+        if kwargs.get("block_hook") is None:
             kwargs.pop("block_hook", None)
             return CompiledExecutor(
                 program or self.program,

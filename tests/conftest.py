@@ -78,18 +78,17 @@ def one_path(counter, paths, call):
 
 @pytest.fixture
 def timing_paths(monkeypatch):
-    """``run(program, costs, workload, hierarchy=None, expect="native",
-    **oracle_env)`` times one binary as configured and asserts, from the
+    """``run(program, costs, workload, hierarchy=None, expect="native")``
+    times one binary as configured and asserts, from the
     ``cpu.timing.runs`` counter, that it took path ``expect``.  It then
-    times the binary again under ``oracle_env`` (default
-    ``REPRO_NATIVE=off``), which must take the hook-driven oracle, and
-    returns both :class:`~repro.cpu.timing.TimingResult` objects.
+    times the binary again under ``REPRO_NATIVE=off``, which must take
+    the hook-driven oracle, and returns both
+    :class:`~repro.cpu.timing.TimingResult` objects.
 
-    Where the native walk cannot run (no C compiler, ``REPRO_NATIVE=off``,
-    ``REPRO_ENGINE=reference``) the first run must take the oracle, and
-    it is returned twice: the caller's own assertions still run."""
+    Where the native walk cannot run (no C compiler, ``REPRO_NATIVE=off``)
+    the first run must take the oracle, and it is returned twice: the
+    caller's own assertions still run."""
     from repro.cpu import TimingSimulator
-    from repro.engine.compiled import compiled_enabled
     from repro.engine.native import native_kernel
 
     def timed(program, costs, workload, hierarchy):
@@ -99,16 +98,14 @@ def timing_paths(monkeypatch):
             lambda: simulator.run(workload),
         )
 
-    def run(program, costs, workload, hierarchy=None, expect="native",
-            **oracle_env):
-        walkable = compiled_enabled() and native_kernel() is not None
+    def run(program, costs, workload, hierarchy=None, expect="native"):
+        walkable = native_kernel() is not None
         result, path = timed(program, costs, workload, hierarchy)
         assert path == (expect if walkable else "reference")
         if not walkable:
             return result, result
         with monkeypatch.context() as patch:
-            for name, value in (oracle_env or {"REPRO_NATIVE": "off"}).items():
-                patch.setenv(name, value)
+            patch.setenv("REPRO_NATIVE", "off")
             oracle, oracle_path = timed(program, costs, workload, hierarchy)
         assert oracle_path == "reference"
         return result, oracle
@@ -125,25 +122,18 @@ def record_paths():
     :meth:`~repro.engine.compiled.CompiledExecutor.run_traced`.
 
     Where the native kernel cannot record (no C compiler,
-    ``REPRO_NATIVE=off``, ``REPRO_BATCH_KERNEL=scalar``,
-    ``REPRO_ENGINE=reference``) the path must be ``compiled``."""
-    from repro.engine.batched import batch_kernel
-    from repro.engine.compiled import CompiledExecutor, compiled_enabled
+    ``REPRO_NATIVE=off``) the path must be ``compiled``."""
+    from repro.engine.compiled import CompiledExecutor
     from repro.engine.native import native_kernel
     from repro.engine.trace_cache import record_trace
 
     def run(workload, program=None, expect="native"):
         program = program or workload.program
-        native = (
-            compiled_enabled()
-            and batch_kernel() != "scalar"
-            and native_kernel() is not None
-        )
         trace, path = one_path(
             "engine.record.runs", ("native", "compiled"),
             lambda: record_trace(workload, program),
         )
-        assert path == (expect if native else "compiled")
+        assert path == (expect if native_kernel() is not None else "compiled")
         oracle = CompiledExecutor(
             program, workload.behavior, workload.phase_script,
             limits=workload.limits,
@@ -164,9 +154,8 @@ def coverage_paths(monkeypatch):
     :class:`~repro.postlink.coverage.CoverageResult` objects.
 
     Where the native walk cannot run the first measurement must take
-    ``oracle`` (``computed`` under ``REPRO_ENGINE=reference``), and it
-    is returned twice: the caller's own assertions still run."""
-    from repro.engine.compiled import compiled_enabled
+    ``oracle``, and it is returned twice: the caller's own assertions
+    still run."""
     from repro.engine.native import native_kernel
     from repro.postlink.coverage import measure_coverage
 
@@ -179,9 +168,7 @@ def coverage_paths(monkeypatch):
         )
 
     def run(workload, packed, expect="native", oracle="compiled"):
-        if not compiled_enabled():
-            expect = oracle = "computed"
-        walkable = compiled_enabled() and native_kernel() is not None
+        walkable = native_kernel() is not None
         result, path = measured(workload, packed)
         assert path == (expect if walkable else oracle)
         if not walkable:

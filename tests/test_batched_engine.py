@@ -23,15 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batched import (
-    BatchedExecutor,
-    batch_kernel,
-    fleet_batching_enabled,
-    row_behavior,
-)
+from repro.engine.batched import BatchedExecutor, row_behavior
 from repro.engine.compiled import CompiledExecutor
 from repro.engine.native import native_kernel
 from repro.fuzz import load_case
+from repro.obs.metrics import MetricsRegistry, series_name, swap_registry
 from repro.postlink.vacuum import VacuumPacker
 from repro.service.aggregate import ingest_dir, merge_runs
 from repro.service.artifacts import ArtifactStore
@@ -116,11 +112,11 @@ def assert_batch_matches(workload, seeds, limits=None):
 def test_suite_bit_identity(bench, input_name, kernel, monkeypatch):
     if kernel == "native" and native_kernel() is None:
         pytest.skip("no C compiler for the native kernel")
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", kernel)
+    if kernel == "scalar":
+        monkeypatch.setenv("REPRO_NATIVE", "off")
     workload = load_benchmark(bench, input_name, scale=0.05)
     run = assert_batch_matches(workload, seeds=[3, 4, 5, 6])
-    if kernel != "scalar" and not run.scalar_rows:
-        assert run.kernel == kernel
+    assert run.kernel == kernel
 
 
 @pytest.mark.parametrize(
@@ -204,39 +200,7 @@ def test_random_batches_bit_identical(
         assert replayed.stop_reason == trace.summary.stop_reason
 
 
-# -- engine selection ---------------------------------------------------
-
-def test_fleet_batching_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert fleet_batching_enabled()
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    assert fleet_batching_enabled()
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    assert not fleet_batching_enabled()
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert not fleet_batching_enabled()
-
-
-def test_batch_kernel_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
-    assert batch_kernel() == "auto"
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", " Scalar ")
-    assert batch_kernel() == "scalar"
-
-
-def test_unknown_batch_kernel_raises(monkeypatch):
-    workload, _ = _hypo_workload(2, "sequence")
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", "lockstep")
-    executor = BatchedExecutor(
-        workload.program,
-        workload.behavior,
-        workload.phase_script,
-        seeds=[1, 2],
-        limits=workload.limits,
-    )
-    with pytest.raises(ValueError, match="unknown REPRO_BATCH_KERNEL"):
-        executor.run_traced()
-
+# -- kernel selection ---------------------------------------------------
 
 def test_single_row_runs_native():
     """A one-client batch takes the native kernel wherever it loads and
@@ -248,21 +212,10 @@ def test_single_row_runs_native():
     assert run.scalar_rows == ([] if native else [0])
 
 
-def test_cli_engine_flag_normalized():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["ingest", "--bench", "181.mcf/A", "--out", "fleet",
-         "--engine", "BATCHED"]
-    )
-    assert args.engine == "batched"
-
-
 # -- observability ------------------------------------------------------
 
 def test_batched_counters_increment():
     from repro.obs import default_registry
-    from repro.obs.metrics import series_name
 
     def total(name):
         return sum(
@@ -307,8 +260,7 @@ def test_batched_counters_skip_trace_cache_hits(tmp_path):
     fleet rerun against the same warm trace cache adds no rows.  Each
     run is its own process, as two ``repro drift`` invocations are: a
     rebuild in one process renumbers the uids the trace key hashes."""
-    env = dict(os.environ, REPRO_ENGINE="batched",
-               REPRO_TRACE_CACHE=str(tmp_path / "traces"))
+    env = dict(os.environ, REPRO_TRACE_CACHE=str(tmp_path / "traces"))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH", "")) if p
     )
@@ -335,34 +287,67 @@ def _fleet_bytes(directory):
     }
 
 
+def _batch_rows(call):
+    """The fleet rows ``call()`` ran, from ``engine.batched.rows``."""
+    registry = MetricsRegistry()
+    previous = swap_registry(registry)
+    try:
+        call()
+    finally:
+        swap_registry(previous)
+    return sum(
+        value
+        for key, value in registry.snapshot()["counters"].items()
+        if series_name(key) == "engine.batched.rows"
+    )
+
+
+def _per_client(hook):
+    """``hook`` plus an equal copy of the limits object: a step outside
+    the shared-binary contract, so the fleet runs client by client."""
+
+    def mutate(w, i):
+        w.limits = replace(w.limits)
+        if hook is not None:
+            hook(w, i)
+
+    return mutate
+
+
 def test_fleet_documents_identical_batched_vs_sequential(
     tmp_path, monkeypatch
 ):
+    from repro.engine.trace_cache import reset_default_cache
     from repro.service.drift import DriftSpec, apply_drift
 
     spec = DriftSpec(severity=0.5, warm_bias=0.4, seed=7)
 
-    def mutate(w, i):
+    def drift(w, i):
         apply_drift(w.behavior, spec)
 
-    for drift_mutate in (None, mutate):
-        tag = "drift" if drift_mutate else "plain"
-        monkeypatch.setenv("REPRO_ENGINE", "compiled")
-        seq_dir = tmp_path / f"seq-{tag}"
-        simulate_fleet("181.mcf", "A", 4, seq_dir, base_seed=3, scale=0.1,
-                       epochs=2, mutate=drift_mutate)
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        bat_dir = tmp_path / f"bat-{tag}"
-        simulate_fleet("181.mcf", "A", 4, bat_dir, base_seed=3, scale=0.1,
-                       epochs=2, mutate=drift_mutate)
-        seq_docs = _fleet_bytes(seq_dir)
-        bat_docs = _fleet_bytes(bat_dir)
-        assert seq_docs and seq_docs == bat_docs, f"{tag} fleet diverged"
+    # Every trace is computed, so each side's rows are its own.
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    reset_default_cache()
+    try:
+        for hook in (None, drift):
+            tag = "drift" if hook else "plain"
+            docs, rows = {}, {}
+            for side, mutate in (("seq", _per_client(hook)), ("bat", hook)):
+                out = tmp_path / f"{side}-{tag}"
+                rows[side] = _batch_rows(lambda: simulate_fleet(
+                    "181.mcf", "A", 4, out, base_seed=3, scale=0.1,
+                    epochs=2, mutate=mutate,
+                ))
+                docs[side] = _fleet_bytes(out)
+            assert rows == {"seq": 0, "bat": 4}, tag
+            assert docs["seq"] and docs["seq"] == docs["bat"], (
+                f"{tag} fleet diverged"
+            )
+    finally:
+        reset_default_cache()
 
 
-def test_fleet_falls_back_when_mutate_rebuilds_program(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-
+def test_fleet_falls_back_when_mutate_rebuilds_program(tmp_path):
     def rebuild(w, i):
         # Replacing the limits object steps outside the shared-binary
         # contract; the fleet must quietly run per-client instead.
@@ -373,8 +358,7 @@ def test_fleet_falls_back_when_mutate_rebuilds_program(tmp_path, monkeypatch):
     assert len(clients) == 2
 
 
-def test_farm_jobs_invariant_with_batched_engine(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
+def test_farm_jobs_invariant_with_batched_engine(tmp_path):
     out = tmp_path / "profiles"
     simulate_fleet("134.perl", "C", runs=4, out_dir=out, base_seed=0,
                    scale=0.2)

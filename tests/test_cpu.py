@@ -305,14 +305,6 @@ class TestTimingSimulator:
         walk, oracle = timing_paths(workload.program, costs, workload)
         assert walk == oracle
 
-    def test_reference_engine_takes_the_hook_model(self, timing_paths):
-        workload = timing_workload()
-        costs = baseline_block_costs(workload.program)
-        walk, reference = timing_paths(
-            workload.program, costs, workload, REPRO_ENGINE="reference"
-        )
-        assert walk == reference
-
     @pytest.mark.parametrize(
         "limits,stop",
         [

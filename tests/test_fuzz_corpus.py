@@ -216,9 +216,7 @@ def test_recursion_past_the_stack_cap_is_covered_by_the_compiled_replay(
 
 
 @pytest.mark.parametrize(
-    "name,value,path",
-    [("REPRO_NATIVE", "off", "compiled"),
-     ("REPRO_ENGINE", "reference", "computed")],
+    "name,value,path", [("REPRO_NATIVE", "off", "compiled")]
 )
 def test_switched_off_walk_covers_through_the_fallback(
     name, value, path, coverage_paths, monkeypatch

@@ -172,11 +172,7 @@ class TestRecorder:
         assert "engine.record.runs" in names
         assert not any(name.startswith("engine.batched.") for name in names)
 
-    @pytest.mark.parametrize(
-        "name,value",
-        [("REPRO_NATIVE", "off"), ("REPRO_BATCH_KERNEL", "scalar"),
-         ("REPRO_ENGINE", "reference")],
-    )
+    @pytest.mark.parametrize("name,value", [("REPRO_NATIVE", "off")])
     def test_switched_off_kernel_takes_the_compiled_engine(
         self, name, value, workload, record_paths, monkeypatch
     ):
